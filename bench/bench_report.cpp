@@ -4,8 +4,10 @@
 // sdmpeb-bench-report/1 schema for scripts/bench_compare.py to diff against
 // the checked-in bench/baselines/<backend>.json.
 //
-// Unlike bench_micro this binary has no google-benchmark dependency and no
+// It is the repo's one kernel harness: no external benchmark library and no
 // training loops — it is meant to be cheap enough to run on every CI job.
+// Thread-count bit-identity is pinned by tests (parallel_test, simd_test);
+// the scalar-to-AVX2 speedup is the ratio of the two backend reports.
 //
 // Noise handling: per kernel we report the median and IQR over trials;
 // trials repeat (min kMinTrials, max kMaxTrials) until IQR/median drops
@@ -80,8 +82,8 @@ std::vector<Kernel> kernel_set() {
     for (auto& v : *a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
     for (auto& v : *b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
     return Kernel{name, 2.0 * static_cast<double>(m) * n * k, [=] {
-                    gemm::gemm_packed(m, n, k, a->data(), k, false, b->data(),
-                                      n, false, c->data(), n, 0.0f);
+                    gemm::gemm(m, n, k, a->data(), k, false, b->data(), n,
+                               false, c->data(), n, 0.0f);
                   }};
   };
   kernels.push_back(gemm_case("gemm_128", 128, 128, 128));
@@ -96,6 +98,24 @@ std::vector<Kernel> kernel_set() {
     kernels.push_back({"conv3d_8c_16x32x32",
                        2.0 * 8 * 14 * 30 * 30 * 8 * 27,
                        [=] { nnops::conv3d(x, w, b, 1, 0); }});
+  }
+  // The dense 2-D convs at the SDM-PEB shapes of the 16x64x64 grid: the
+  // first decoder layer (48 -> 24 channels, 2x upsampling) and the head.
+  {
+    auto x = random_value(Shape{48, 16, 32, 32}, 16);
+    auto w = random_value(Shape{48, 24, 4, 4}, 17);
+    auto b = random_value(Shape{24}, 18);
+    kernels.push_back({"convt2d_48c_16x32x32",
+                       2.0 * 16 * 48 * 24 * 4 * 4 * 32 * 32, [=] {
+                         nnops::conv_transpose2d_per_depth(x, w, b, 2, 1);
+                       }});
+  }
+  {
+    auto x = random_value(Shape{6, 16, 64, 64}, 24);
+    auto w = random_value(Shape{1, 6, 3, 3}, 25);
+    auto b = random_value(Shape{1}, 26);
+    kernels.push_back({"conv2d_6c_16x64x64", 2.0 * 16 * 64 * 64 * 6 * 9,
+                       [=] { nnops::conv2d_per_depth(x, w, b, 1, 1); }});
   }
   {
     auto x = random_value(Shape{16, 16, 32, 32}, 31);
@@ -242,8 +262,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Single-threaded: pool-width variance would swamp the tolerance bands,
-  // and thread scaling has its own CSV (bench_micro).
+  // Single-threaded: pool-width variance would swamp the tolerance bands.
   parallel::set_thread_count(1);
   const char* slow_env = std::getenv("SDMPEB_BENCH_SLOW");
   const std::string slow_kernel = slow_env ? slow_env : "";

@@ -1,8 +1,8 @@
 #pragma once
 
-// Structured benchmark report writer shared by bench_report (the canonical
+// Structured benchmark report writer used by bench_report (the canonical
 // bench_out/report.json producer consumed by scripts/bench_compare.py) and
-// bench_micro (which emits the same schema alongside its CSVs).
+// by the end-to-end benchmark in e2ebench/.
 //
 // Schema "sdmpeb-bench-report/1":
 //   {

@@ -8,10 +8,12 @@ and response payloads are
   b"SRVR" + id u64 + status u32 + (volume | error string).
 
 With --selftest the script trains a tiny checkpoint, then drives a serve
-process through the three contracts worth pinning from outside the binary:
+process through the contracts worth pinning from outside the binary:
 well-formed frames complete, a malformed frame is rejected without killing
-the stream, and SIGTERM drains every accepted request before a clean exit.
-Prints SERVE_PROTOCOL_OK on success (consumed by ctest / CI).
+the stream, SIGTERM drains every accepted request before a clean exit, and
+a traced run (--trace/--metrics) keeps stdout a pure frame stream that ends
+in a clean EOF. Prints SERVE_PROTOCOL_OK on success (consumed by ctest /
+CI).
 """
 
 import argparse
@@ -72,18 +74,26 @@ def read_response(stream):
     return {"id": resp_id, "status": status, "error": body.decode("utf-8", "replace")}
 
 
+def read_all(stream):
+    """Every response frame up to EOF; a torn or foreign frame raises."""
+    responses = []
+    while (resp := read_response(stream)) is not None:
+        responses.append(resp)
+    return responses
+
+
 def require(cond, message):
     if not cond:
         print("FAIL: %s" % message, file=sys.stderr)
         sys.exit(1)
 
 
-def spawn_serve(cli, ckpt, shape):
+def spawn_serve(cli, ckpt, shape, extra_args=()):
     return subprocess.Popen(
         [
             cli, "serve", "--model", "sdm", "--scale", "tiny",
             "--ckpt", ckpt, "--shape", "%dx%dx%d" % shape,
-            "--deadline-ms", "60000",
+            "--deadline-ms", "60000", *extra_args,
         ],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
@@ -118,12 +128,7 @@ def selftest(cli, work_dir):
     proc.stdin.flush()
     proc.stdin.close()  # EOF -> drain
 
-    responses = []
-    while True:
-        resp = read_response(proc.stdout)
-        if resp is None:
-            break
-        responses.append(resp)
+    responses = read_all(proc.stdout)
     require(proc.wait() == 0, "serve exited non-zero after EOF drain")
     require(len(responses) == 6, "want 6 responses, got %d" % len(responses))
     by_id = {}
@@ -154,12 +159,7 @@ def selftest(cli, work_dir):
     # admitted (signalling an idle server would not test the drain path).
     time.sleep(1.0)
     proc.send_signal(signal.SIGTERM)
-    responses = []
-    while True:
-        resp = read_response(proc.stdout)
-        if resp is None:
-            break
-        responses.append(resp)
+    responses = read_all(proc.stdout)
     require(proc.wait() == 0, "serve exited non-zero after SIGTERM drain")
     ids = sorted(r["id"] for r in responses)
     require(len(ids) == len(set(ids)), "duplicated responses across drain")
@@ -173,6 +173,27 @@ def selftest(cli, work_dir):
             "unexpected drain status %s" % STATUS_NAMES.get(resp["status"]),
         )
     print("SIGTERM drain: ok (%d responses)" % len(responses))
+
+    # --- Contract 4: with tracing on, the exit-time trace and metrics dumps
+    # go to their files, never into the frame stream on stdout.
+    trace = os.path.join(work_dir, "serve_trace.json")
+    metrics = os.path.join(work_dir, "serve_metrics.csv")
+    proc = spawn_serve(cli, ckpt, dims,
+                       ("--trace", trace, "--metrics", metrics))
+    for i in range(3):
+        proc.stdin.write(encode_request(300 + i, dims, volume))
+    proc.stdin.close()
+    responses = read_all(proc.stdout)  # raises on bytes after the last frame
+    require(proc.wait() == 0, "traced serve exited non-zero")
+    require(
+        sorted(r["id"] for r in responses) == [300, 301, 302]
+        and all(r["status"] == 0 for r in responses),
+        "traced serve responses: %r"
+        % [(r["id"], STATUS_NAMES.get(r["status"])) for r in responses],
+    )
+    require(os.path.isfile(trace) and os.path.isfile(metrics),
+            "traced serve wrote no trace/metrics files")
+    print("traced frame stream: ok")
     print("SERVE_PROTOCOL_OK")
 
 

@@ -7,10 +7,7 @@ namespace sdmpeb::baselines {
 namespace nnops = nn::ops;
 
 DeePeb::DeePeb(const DeePebConfig& config, Rng& rng)
-    : config_(config),
-      align_(config.cnn_channels, config.fno.width, rng),
-      proj1_(config.fno.width, config.fno.width, rng),
-      proj2_(config.fno.width, 1, rng) {
+    : config_(config), align_(config.cnn_channels, config.fno.width, rng) {
   SDMPEB_CHECK(config.cnn_channels > 0 && config.cnn_layers >= 1);
   fno_branch_ = std::make_unique<Fno>(config.fno, rng);
   register_module(*fno_branch_);
@@ -22,8 +19,6 @@ DeePeb::DeePeb(const DeePebConfig& config, Rng& rng)
     in_channels = config.cnn_channels;
   }
   register_module(align_);
-  register_module(proj1_);
-  register_module(proj2_);
 }
 
 nn::Value DeePeb::forward(const nn::Value& acid) const {
@@ -41,10 +36,7 @@ nn::Value DeePeb::forward(const nn::Value& acid) const {
       align_.forward(nnops::to_sequence(local)), config_.fno.width, depth,
       height, width);
 
-  auto seq =
-      nnops::to_sequence(nnops::add(global_features, local_aligned));
-  seq = proj2_.forward(nnops::gelu(proj1_.forward(seq)));
-  return nnops::reshape(seq, Shape{depth, height, width});
+  return fno_branch_->head(nnops::add(global_features, local_aligned));
 }
 
 }  // namespace sdmpeb::baselines

@@ -10,8 +10,9 @@ namespace sdmpeb::baselines {
 
 /// DeePEB baseline [15], the prior state of the art: an FNO global branch
 /// capturing low-frequency behaviour plus a CNN local branch for
-/// high-frequency detail, fused by summation before a pointwise head — the
-/// architecture SDM-PEB is measured against most closely in Table II.
+/// high-frequency detail, fused by summation before the FNO branch's
+/// pointwise head — the architecture SDM-PEB is measured against most
+/// closely in Table II.
 struct DeePebConfig {
   FnoConfig fno;
   std::int64_t cnn_channels = 12;
@@ -30,8 +31,6 @@ class DeePeb : public core::PebNet {
   std::unique_ptr<Fno> fno_branch_;
   std::vector<std::unique_ptr<nn::Conv3d>> cnn_branch_;
   nn::Linear align_;  ///< maps CNN channels onto the FNO width for the sum
-  nn::Linear proj1_;
-  nn::Linear proj2_;
 };
 
 }  // namespace sdmpeb::baselines

@@ -59,14 +59,17 @@ nn::Value Fno::forward_features(const nn::Value& acid) const {
   return x;
 }
 
-nn::Value Fno::forward(const nn::Value& acid) const {
-  const auto depth = acid->value().dim(1);
-  const auto height = acid->value().dim(2);
-  const auto width = acid->value().dim(3);
-  const auto features = forward_features(acid);
+nn::Value Fno::head(const nn::Value& features) const {
+  const auto depth = features->value().dim(1);
+  const auto height = features->value().dim(2);
+  const auto width = features->value().dim(3);
   auto seq = nnops::to_sequence(features);
   seq = proj2_.forward(nnops::gelu(proj1_.forward(seq)));
   return nnops::reshape(seq, Shape{depth, height, width});
+}
+
+nn::Value Fno::forward(const nn::Value& acid) const {
+  return head(forward_features(acid));
 }
 
 }  // namespace sdmpeb::baselines

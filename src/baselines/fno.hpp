@@ -31,8 +31,11 @@ class Fno : public core::PebNet {
 
  private:
   friend class DeePeb;
-  /// Shared forward without the final reshape; used by DeePEB's FNO branch.
+  /// Lift and spectral layers: (1, D, H, W) -> (width, D, H, W).
   nn::Value forward_features(const nn::Value& acid) const;
+  /// Pointwise projection head: (width, D, H, W) -> (D, H, W). DeePEB
+  /// applies it to its fused global + local features.
+  nn::Value head(const nn::Value& features) const;
 
   FnoConfig config_;
   nn::Linear lift_;

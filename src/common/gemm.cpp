@@ -1,18 +1,16 @@
 // Packed cache-blocked GEMM core. This translation unit is compiled with
 // -ffp-contract=off (see src/common/CMakeLists.txt): every product is
-// rounded before it is added, in both scalar implementations, which is what
-// makes the scalar packed kernel bitwise-reproducible against the naive
-// reference. When the AVX2 kernel backend is active (common/simd.hpp), the
+// rounded before it is added, which is what makes the scalar packed kernel
+// bitwise-reproducible against the three-loop test oracle (compiled the
+// same way). When the AVX2 kernel backend is active (common/simd.hpp), the
 // driver below swaps the 6x8 scalar microtile for the 6x16 FMA tile in
 // simd_avx2.cpp and widens the B panels to match; that backend trades the
-// bitwise-vs-naive property for throughput and is tolerance-checked instead
-// (DESIGN.md §11).
+// bitwise-vs-oracle property for throughput and is tolerance-checked
+// instead (DESIGN.md §11).
 
 #include "common/gemm.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/arena.hpp"
 #include "common/error.hpp"
@@ -29,15 +27,6 @@
 namespace sdmpeb::gemm {
 
 namespace {
-
-Backend& backend_slot() {
-  static Backend backend = [] {
-    const char* env = std::getenv("SDMPEB_GEMM_NAIVE");
-    const bool naive = env && *env != '\0' && std::strcmp(env, "0") != 0;
-    return naive ? Backend::kNaive : Backend::kPacked;
-  }();
-  return backend;
-}
 
 /// beta pre-pass for the degenerate k == 0 case (no products to add).
 void scale_c(std::int64_t m, std::int64_t n, float* c, std::int64_t ldc,
@@ -127,7 +116,7 @@ inline void micro_kernel(std::int64_t kb, const float* SDMPEB_GEMM_RESTRICT ap,
 
 /// One C tile: seed the accumulators from C (beta-scaled on the first k
 /// panel, raw after — so each element's chain is beta*c, +t0, +t1, ... with
-/// a rounding per step, exactly the naive order), run the microkernel,
+/// a rounding per step, exactly the three-loop order), run the microkernel,
 /// store the valid rows x cols region back.
 void compute_tile(std::int64_t kb, const float* ap, const float* bp, float* c,
                   std::int64_t ldc, std::int64_t rows, std::int64_t cols,
@@ -171,49 +160,10 @@ KernelSet active_kernels() {
   return {kNr, &pack_b<kNr>, &compute_tile};
 }
 
-}  // namespace
-
-Backend backend() { return backend_slot(); }
-
-void set_backend(Backend b) { backend_slot() = b; }
-
-void gemm_naive(std::int64_t m, std::int64_t n, std::int64_t k,
+void run_packed(std::int64_t m, std::int64_t n, std::int64_t k,
                 const float* a, std::int64_t lda, bool trans_a,
                 const float* b, std::int64_t ldb, bool trans_b, float* c,
                 std::int64_t ldc, float beta) {
-  SDMPEB_CHECK(m >= 0 && n >= 0 && k >= 0);
-  if (m == 0 || n == 0) return;
-  // Row chunks at the packed kernel's block granularity: a task is never
-  // smaller than one kMc row block (the old elements-based heuristic
-  // collapsed to per-row tasks for any realistically sized layer).
-  parallel::parallel_for(0, m, kMc, [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      float* crow = c + i * ldc;
-      if (beta == 0.0f)
-        std::fill(crow, crow + n, 0.0f);
-      else if (beta != 1.0f)
-        for (std::int64_t j = 0; j < n; ++j) crow[j] *= beta;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        // No zero-skip here: a data-dependent branch mispredicts on sparse
-        // activations and would turn 0 * NaN into a silent drop instead of
-        // propagating the NaN.
-        const float av = trans_a ? a[kk * lda + i] : a[i * lda + kk];
-        if (trans_b) {
-          for (std::int64_t j = 0; j < n; ++j)
-            crow[j] += av * b[j * ldb + kk];
-        } else {
-          const float* brow = b + kk * ldb;
-          for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  });
-}
-
-void gemm_packed(std::int64_t m, std::int64_t n, std::int64_t k,
-                 const float* a, std::int64_t lda, bool trans_a,
-                 const float* b, std::int64_t ldb, bool trans_b, float* c,
-                 std::int64_t ldc, float beta) {
   SDMPEB_CHECK(m >= 0 && n >= 0 && k >= 0);
   if (m == 0 || n == 0) return;
   if (k == 0) {
@@ -265,16 +215,14 @@ void gemm_packed(std::int64_t m, std::int64_t n, std::int64_t k,
   }
 }
 
+}  // namespace
+
 void gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
           std::int64_t lda, bool trans_a, const float* b, std::int64_t ldb,
           bool trans_b, float* c, std::int64_t ldc, float beta) {
-  const bool naive = backend() == Backend::kNaive;
   if (!obs::trace_enabled()) {
-    // Zero-instrumentation fast path: one predicted-taken branch above.
-    if (naive)
-      gemm_naive(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, beta);
-    else
-      gemm_packed(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, beta);
+    // Zero-instrumentation fast path: one predicted-taken branch.
+    run_packed(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, beta);
     return;
   }
 
@@ -284,20 +232,15 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
                      static_cast<std::uint64_t>(k);
   SDMPEB_SPAN("gemm", "flops", static_cast<std::int64_t>(flops));
   const std::uint64_t t0 = obs::now_ns();
-  if (naive)
-    gemm_naive(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, beta);
-  else
-    gemm_packed(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, beta);
+  run_packed(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, beta);
   const std::uint64_t dt_ns = obs::now_ns() - t0;
 
   static obs::Counter& calls = obs::counter("gemm.calls");
   static obs::Counter& total_flops = obs::counter("gemm.flops");
   static obs::Counter& total_ns = obs::counter("gemm.time_ns");
-  static obs::Counter& backend_packed = obs::counter("gemm.backend.packed");
-  static obs::Counter& backend_naive = obs::counter("gemm.backend.naive");
   static obs::Histogram& call_gflops = obs::histogram(
       "gemm.call_gflops", {0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
-  // Per-ISA throughput splits (the naive reference is always scalar code).
+  // Per-ISA throughput splits.
   static obs::Histogram& call_gflops_scalar = obs::histogram(
       "gemm.call_gflops.scalar", {0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
   static obs::Histogram& call_gflops_avx2 = obs::histogram(
@@ -306,14 +249,12 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
   calls.add(1);
   total_flops.add(flops);
   total_ns.add(dt_ns);
-  (naive ? backend_naive : backend_packed).add(1);
   if (dt_ns > 0 && flops > 0) {
     const double gflops =
         static_cast<double>(flops) / static_cast<double>(dt_ns);
     call_gflops.add(gflops);
-    const simd::Isa isa =
-        naive ? simd::Isa::kScalar : simd::active();
-    (isa == simd::Isa::kAvx2 ? call_gflops_avx2 : call_gflops_scalar)
+    (simd::active() == simd::Isa::kAvx2 ? call_gflops_avx2
+                                        : call_gflops_scalar)
         .add(gflops);
   }
 }

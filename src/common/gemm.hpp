@@ -5,42 +5,23 @@
 namespace sdmpeb::gemm {
 
 /// Single-precision dense matrix multiply — the one dense engine behind
-/// matmul and the im2col-lowered convolutions.
+/// matmul and the im2col-lowered convolutions: a cache-blocked,
+/// register-tiled, panel-packed GEMM (Mc/Kc/Nc blocking, kMr x kNr
+/// microkernel written for the autovectorizer).
 ///
-/// Two implementations, selectable at runtime:
-///   - kPacked (default): cache-blocked, register-tiled, panel-packed GEMM
-///     (Mc/Kc/Nc blocking, kMr x kNr microkernel written for the
-///     autovectorizer).
-///   - kNaive: the straightforward three-loop reference the packed kernel
-///     is validated against (the pre-GEMM matmul_raw loops, minus the
-///     data-dependent zero-skip branch).
+/// Exactness contract: every output element accumulates along k in
+/// ascending order through a single float accumulator chain, and this
+/// translation unit is compiled with -ffp-contract=off — so, under the
+/// scalar kernel backend, results are BITWISE IDENTICAL to the plain
+/// three-loop reference in tests/oracle.cpp, for any thread count. See
+/// DESIGN.md §8.
 ///
-/// Exactness contract: for a given (shape, transposes, beta), both
-/// implementations accumulate every output element along k in ascending
-/// order through a single float accumulator chain, and this translation
-/// unit is compiled with -ffp-contract=off — so, under the scalar kernel
-/// backend, packed and naive results are BITWISE IDENTICAL, for any thread
-/// count. Ops lowered onto GEMM (im2col convolutions) inherit bit-identity
-/// between the two backends; only results compared against the retired
-/// direct conv kernels (which accumulated in double) carry a tolerance.
-/// See DESIGN.md §8.
-///
-/// Orthogonal to this choice, the packed driver dispatches its microtile on
-/// the runtime SIMD backend (common/simd.hpp): the AVX2 backend runs a
-/// 6x16 FMA tile that fuses each multiply-add, so packed-vs-naive becomes a
-/// tolerance comparison there, while results remain bitwise deterministic
-/// across thread counts within the backend. SDMPEB_BACKEND=scalar restores
-/// the full bitwise contract. See DESIGN.md §11.
-enum class Backend {
-  kPacked,
-  kNaive,
-};
-
-/// Active backend. Resolved once, lazily, from SDMPEB_GEMM_NAIVE (any value
-/// other than empty/"0" selects kNaive); set_backend overrides in-process
-/// (tests and the roofline bench flip it).
-Backend backend();
-void set_backend(Backend b);
+/// The driver dispatches its microtile on the runtime SIMD backend
+/// (common/simd.hpp): the AVX2 backend runs a 6x16 FMA tile that fuses each
+/// multiply-add, so agreement with the reference becomes a tolerance
+/// comparison there, while results remain bitwise deterministic across
+/// thread counts within the backend. SDMPEB_BACKEND=scalar restores the
+/// full bitwise contract. See DESIGN.md §11.
 
 // Blocking parameters (shared with the grain heuristics of callers: one
 // parallel task covers one kMc row block, never less).
@@ -59,15 +40,5 @@ inline constexpr std::int64_t kNr = 8;    ///< microkernel cols
 void gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
           std::int64_t lda, bool trans_a, const float* b, std::int64_t ldb,
           bool trans_b, float* c, std::int64_t ldc, float beta = 0.0f);
-
-/// Force one implementation regardless of backend() (tests, roofline).
-void gemm_packed(std::int64_t m, std::int64_t n, std::int64_t k,
-                 const float* a, std::int64_t lda, bool trans_a,
-                 const float* b, std::int64_t ldb, bool trans_b, float* c,
-                 std::int64_t ldc, float beta = 0.0f);
-void gemm_naive(std::int64_t m, std::int64_t n, std::int64_t k,
-                const float* a, std::int64_t lda, bool trans_a,
-                const float* b, std::int64_t ldb, bool trans_b, float* c,
-                std::int64_t ldc, float beta = 0.0f);
 
 }  // namespace sdmpeb::gemm

@@ -267,9 +267,9 @@ bool write_metrics_csv_file(const std::string& path) {
 
 namespace {
 
-/// Body shared by write_metrics_json and the JSONL appender: the registry
-/// as one JSON object, derived metrics already refreshed by the caller.
-void write_metrics_json_body(std::ostream& os, const MetricsSnapshot& snap) {
+/// The registry as one JSON object (the "metrics" field of a JSONL row),
+/// derived metrics already refreshed by the caller.
+void write_metrics_json(std::ostream& os, const MetricsSnapshot& snap) {
   os << "{";
   bool first = true;
   const auto sep = [&] {
@@ -315,11 +315,6 @@ std::string prom_name(const std::string& name) {
 }
 
 }  // namespace
-
-void write_metrics_json(std::ostream& os) {
-  refresh_derived_metrics();
-  write_metrics_json_body(os, snapshot_metrics());
-}
 
 void write_metrics_prometheus(std::ostream& os) {
   refresh_derived_metrics();
@@ -368,7 +363,7 @@ bool append_metrics_jsonl(const std::string& path, std::uint64_t seq) {
   std::ostringstream row;
   row << "{\"t_s\":" << fmt_double(static_cast<double>(now_ns()) * 1e-9)
       << ",\"seq\":" << seq << ",\"metrics\":";
-  write_metrics_json_body(row, snapshot_metrics());
+  write_metrics_json(row, snapshot_metrics());
   row << "}\n";
   // One append + flush per row: a crash mid-run loses at most the row being
   // written, and every complete line stays parseable.

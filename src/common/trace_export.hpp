@@ -1,10 +1,10 @@
 #pragma once
 
 // Exporters for the observability layer (common/obs.hpp): Chrome/Perfetto
-// `trace_event` JSON for spans, and CSV / JSON / Prometheus-text dumps of
-// the metrics registry, plus a background periodic flusher for long-running
-// jobs. Opening a trace: chrome://tracing or https://ui.perfetto.dev,
-// "Open trace file", pick the emitted .json.
+// `trace_event` JSON for spans, and CSV / Prometheus-text / JSON-lines dumps
+// of the metrics registry, plus a background periodic flusher for
+// long-running jobs. Opening a trace: chrome://tracing or
+// https://ui.perfetto.dev, "Open trace file", pick the emitted .json.
 //
 // When spans carry perf_event counter deltas (SDMPEB_PERF, see
 // common/perfmon.hpp), the Chrome export annotates each complete event's
@@ -45,9 +45,6 @@ void refresh_derived_metrics();
 void write_metrics_csv(std::ostream& os);
 bool write_metrics_csv_file(const std::string& path);
 
-/// Metrics registry as a single JSON object keyed by metric name.
-void write_metrics_json(std::ostream& os);
-
 /// Metrics registry in Prometheus text exposition format (metric names
 /// sanitised to [a-zA-Z0-9_:], histograms as _bucket/_sum/_count with
 /// cumulative le labels).
@@ -56,6 +53,8 @@ bool write_metrics_prometheus_file(const std::string& path);
 
 /// Append one JSON-lines snapshot row to `path`:
 ///   {"t_s":<since process start>,"seq":N,"metrics":{...}}
+/// where "metrics" is the registry as one JSON object keyed by metric name
+/// (histograms as {"count","sum","buckets":[{"le","count"}...]}).
 /// The growing file is a time series — successive rows give counter rates
 /// and the arena occupancy / high-water timeline of a long run. Returns
 /// false on I/O failure (never throws).

@@ -8,6 +8,22 @@ namespace sdmpeb::core {
 
 namespace nnops = nn::ops;
 
+namespace {
+
+/// The key/value reduction Linear(C·r -> C) of Eq. 15, or nullptr at r == 1
+/// (no reduction). At r == 1 the layer's weights are still drawn before it
+/// is dropped, so every parameter initialised after it keeps the value
+/// that existing seeded models and results were produced with.
+std::unique_ptr<nn::Linear> make_kv_reduce(std::int64_t channels,
+                                           std::int64_t reduction, Rng& rng) {
+  auto layer =
+      std::make_unique<nn::Linear>(channels * reduction, channels, rng);
+  if (reduction == 1) layer.reset();
+  return layer;
+}
+
+}  // namespace
+
 EfficientSpatialSelfAttention::EfficientSpatialSelfAttention(
     std::int64_t channels, std::int64_t heads, std::int64_t reduction,
     Rng& rng)
@@ -15,7 +31,7 @@ EfficientSpatialSelfAttention::EfficientSpatialSelfAttention(
       heads_(heads),
       reduction_(reduction),
       q_proj_(channels, channels, rng),
-      kv_reduce_(channels * reduction, channels, rng),
+      kv_reduce_(make_kv_reduce(channels, reduction, rng)),
       k_proj_(channels, channels, rng),
       v_proj_(channels, channels, rng),
       // Residual-branch output projection starts small (see SdmUnit).
@@ -25,7 +41,7 @@ EfficientSpatialSelfAttention::EfficientSpatialSelfAttention(
                    "channels " << channels << " not divisible by heads "
                                << heads);
   register_module(q_proj_);
-  register_module(kv_reduce_);
+  if (kv_reduce_) register_module(*kv_reduce_);
   register_module(k_proj_);
   register_module(v_proj_);
   register_module(out_proj_);
@@ -38,12 +54,12 @@ nn::Value EfficientSpatialSelfAttention::attend_slice(
   const auto q = q_proj_.forward(slice);
 
   nn::Value reduced = slice;
-  if (reduction_ > 1) {
+  if (kv_reduce_) {
     SDMPEB_CHECK_MSG(tokens % reduction_ == 0,
                      "slice tokens " << tokens
                                      << " not divisible by reduction "
                                      << reduction_);
-    reduced = kv_reduce_.forward(nnops::reshape(
+    reduced = kv_reduce_->forward(nnops::reshape(
         slice, Shape{tokens / reduction_, channels_ * reduction_}));
   }
   const auto k = k_proj_.forward(reduced);

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <memory>
+
 #include "nn/layers.hpp"
 
 namespace sdmpeb::core {
@@ -28,7 +30,8 @@ class EfficientSpatialSelfAttention : public nn::Module {
   std::int64_t heads_;
   std::int64_t reduction_;
   nn::Linear q_proj_;
-  nn::Linear kv_reduce_;  ///< Linear(C·r -> C) of Eq. 15
+  /// Linear(C·r -> C) of Eq. 15; absent when r == 1 (no reduction).
+  std::unique_ptr<nn::Linear> kv_reduce_;
   nn::Linear k_proj_;
   nn::Linear v_proj_;
   nn::Linear out_proj_;

@@ -9,7 +9,7 @@ namespace sdmpeb::develop {
 /// eight axis-sign sweep orderings, repeated until the largest update falls
 /// below `convergence_eps_s`. Same interface and seeding (developer enters
 /// through the top surface) as solve_development_front; the two solvers
-/// cross-validate each other in tests and are compared in bench_micro.
+/// cross-validate each other in tests.
 Grid3 solve_development_front_fsm(const Grid3& rate,
                                   const EikonalSpacing& spacing,
                                   double convergence_eps_s = 1e-6,

@@ -21,13 +21,10 @@
 // are lowered onto the packed GEMM core (common/gemm.hpp) via im2col /
 // col2im, with all scratch (patch matrices, per-chunk gradient partials)
 // served by the WorkspaceArena so steady-state training never touches the
-// allocator. SDMPEB_GEMM_NAIVE=1 (or gemm::set_backend) swaps every op back
-// to the original direct kernels, kept below as the reference
-// implementation: the GEMM path accumulates in float (panel-ordered), the
-// direct path in double, so the two agree to a relative tolerance, not bit
-// for bit — see DESIGN.md §8. Depthwise convolutions stay direct in both
-// backends (a gemm over a 1-channel patch matrix would be a dot product)
-// but hoist their bounds checks out of the interior so the inner loops are
+// allocator. The direct-loop reference they are checked against lives with
+// the tests (tests/oracle.cpp, DESIGN.md §8). Depthwise convolutions stay
+// direct (a gemm over a 1-channel patch matrix would be a dot product) but
+// hoist their bounds checks out of the interior so the inner loops are
 // branch-free.
 //
 // Parallelisation (see common/parallel.hpp): forward passes split over
@@ -51,18 +48,9 @@ std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel,
   return out;
 }
 
-/// Fold per-chunk partial gradient buffers into the destination in chunk
-/// order (the deterministic combination tree).
-void fold_partials(float* dst, const std::vector<std::vector<float>>& parts,
-                   std::int64_t size) {
-  for (const auto& part : parts) {
-    if (part.empty()) continue;
-    for (std::int64_t i = 0; i < size; ++i) dst[i] += part[i];
-  }
-}
-
-/// Flat-buffer variant for arena-backed partials: parts is `chunks`
-/// consecutive `size`-element slices, folded in ascending chunk order.
+/// Fold per-chunk partial gradient buffers into the destination in
+/// ascending chunk order (the deterministic combination tree): parts is
+/// `chunks` consecutive `size`-element arena slices.
 void fold_flat_partials(float* dst, const float* parts, std::int64_t chunks,
                         std::int64_t size) {
   for (std::int64_t c = 0; c < chunks; ++c) {
@@ -208,22 +196,12 @@ void col2im_3d_slice(float* im, std::int64_t channels, std::int64_t din,
   }
 }
 
-bool use_gemm() { return gemm::backend() == gemm::Backend::kPacked; }
-
-/// Record which conv backend a dispatch took and, on the GEMM path, the
-/// logical im2col patch-matrix footprint it lowers through (the direct
-/// path builds no patch matrix).
-void note_conv_dispatch(bool gemm_path, std::int64_t im2col_floats) {
+/// Record the logical im2col patch-matrix footprint a dense conv lowers
+/// through.
+void note_im2col(std::int64_t im2col_floats) {
   if (!obs::trace_enabled()) return;
-  static obs::Counter& to_gemm = obs::counter("conv.dispatch.gemm");
-  static obs::Counter& to_direct = obs::counter("conv.dispatch.direct");
-  if (gemm_path) {
-    to_gemm.add(1);
-    static obs::Counter& bytes = obs::counter("conv.im2col_bytes");
-    bytes.add(static_cast<std::uint64_t>(im2col_floats) * sizeof(float));
-  } else {
-    to_direct.add(1);
-  }
+  static obs::Counter& bytes = obs::counter("conv.im2col_bytes");
+  bytes.add(static_cast<std::uint64_t>(im2col_floats) * sizeof(float));
 }
 
 /// Ascending-index float sum of one gradient row (bias partials).
@@ -269,43 +247,6 @@ void conv2d_forward_gemm(const Conv2dDims& dims, const float* px,
                  depth * hw, pb ? 1.0f : 0.0f);
     }
   });
-}
-
-void conv2d_forward_direct(const Conv2dDims& dims, const float* px,
-                           const float* pw, const float* pb, float* po) {
-  const auto [cin, depth, hin, win, cout, kh, kw, hout, wout, stride, pad] =
-      dims;
-  // One task per (d, co) output plane; planes are disjoint.
-  parallel::parallel_for(
-      0, depth * cout, 1, [&](std::int64_t p0, std::int64_t p1) {
-        for (std::int64_t p = p0; p < p1; ++p) {
-          const auto d = p / cout;
-          const auto co = p % cout;
-          const float b = pb ? pb[co] : 0.0f;
-          float* orow_base = po + (co * depth + d) * hout * wout;
-          for (std::int64_t ho = 0; ho < hout; ++ho) {
-            for (std::int64_t wo = 0; wo < wout; ++wo) {
-              double acc = b;
-              for (std::int64_t ci = 0; ci < cin; ++ci) {
-                const float* xbase = px + (ci * depth + d) * hin * win;
-                const float* wbase = pw + (co * cin + ci) * kh * kw;
-                for (std::int64_t i = 0; i < kh; ++i) {
-                  const auto hi = ho * stride - pad + i;
-                  if (hi < 0 || hi >= hin) continue;
-                  const float* xrow = xbase + hi * win;
-                  const float* wrow = wbase + i * kw;
-                  for (std::int64_t j = 0; j < kw; ++j) {
-                    const auto wi = wo * stride - pad + j;
-                    if (wi < 0 || wi >= win) continue;
-                    acc += static_cast<double>(xrow[wi]) * wrow[j];
-                  }
-                }
-              }
-              orow_base[ho * wout + wo] = static_cast<float>(acc);
-            }
-          }
-        }
-      });
 }
 
 void conv2d_backward_gemm(const Conv2dDims& dims, const float* pg,
@@ -364,73 +305,6 @@ void conv2d_backward_gemm(const Conv2dDims& dims, const float* pg,
   if (need_b) fold_flat_partials(pgb, gb_parts, chunks, cout);
 }
 
-void conv2d_backward_direct(const Conv2dDims& dims, const float* pg,
-                            const float* px, const float* pw, float* pgx,
-                            float* pgw, float* pgb) {
-  const auto [cin, depth, hin, win, cout, kh, kw, hout, wout, stride, pad] =
-      dims;
-  const bool need_x = pgx != nullptr;
-  const bool need_w = pgw != nullptr;
-  const bool need_b = pgb != nullptr;
-  // Split over depth: x-gradient writes are depth-disjoint; weight and
-  // bias grads are shared across depth, so they accumulate into
-  // per-chunk partials folded in chunk order below.
-  const auto wsize = cout * cin * kh * kw;
-  const auto chunks = parallel::chunk_count(0, depth, 1);
-  std::vector<std::vector<float>> gw_parts(
-      need_w ? static_cast<std::size_t>(chunks) : 0);
-  std::vector<std::vector<float>> gb_parts(
-      need_b ? static_cast<std::size_t>(chunks) : 0);
-  parallel::for_chunks(
-      0, depth, 1,
-      [&](std::int64_t chunk, std::int64_t d0, std::int64_t d1) {
-        float* gwp = nullptr;
-        float* gbp = nullptr;
-        if (need_w) {
-          auto& buf = gw_parts[static_cast<std::size_t>(chunk)];
-          buf.assign(static_cast<std::size_t>(wsize), 0.0f);
-          gwp = buf.data();
-        }
-        if (need_b) {
-          auto& buf = gb_parts[static_cast<std::size_t>(chunk)];
-          buf.assign(static_cast<std::size_t>(cout), 0.0f);
-          gbp = buf.data();
-        }
-        for (std::int64_t d = d0; d < d1; ++d) {
-          for (std::int64_t co = 0; co < cout; ++co) {
-            const float* grow_base = pg + (co * depth + d) * hout * wout;
-            for (std::int64_t ho = 0; ho < hout; ++ho) {
-              for (std::int64_t wo = 0; wo < wout; ++wo) {
-                const float go = grow_base[ho * wout + wo];
-                if (go == 0.0f) continue;
-                if (need_b) gbp[co] += go;
-                for (std::int64_t ci = 0; ci < cin; ++ci) {
-                  const auto xoff = (ci * depth + d) * hin * win;
-                  const auto woff = (co * cin + ci) * kh * kw;
-                  for (std::int64_t i = 0; i < kh; ++i) {
-                    const auto hi = ho * stride - pad + i;
-                    if (hi < 0 || hi >= hin) continue;
-                    for (std::int64_t j = 0; j < kw; ++j) {
-                      const auto wi = wo * stride - pad + j;
-                      if (wi < 0 || wi >= win) continue;
-                      if (need_x)
-                        pgx[xoff + hi * win + wi] +=
-                            go * pw[woff + i * kw + j];
-                      if (need_w)
-                        gwp[woff + i * kw + j] +=
-                            go * px[xoff + hi * win + wi];
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
-      });
-  if (need_w) fold_partials(pgw, gw_parts, wsize);
-  if (need_b) fold_partials(pgb, gb_parts, cout);
-}
-
 }  // namespace
 
 Value conv2d_per_depth(const Value& x, const Value& w, const Value& bias,
@@ -461,13 +335,10 @@ Value conv2d_per_depth(const Value& x, const Value& w, const Value& bias,
   {
     SDMPEB_SPAN("conv2d", "flops",
                 2 * out.numel() * dims.cin * dims.kh * dims.kw);
-    note_conv_dispatch(use_gemm(), dims.depth * dims.cin * dims.kh *
-                                       dims.kw * dims.hout * dims.wout);
+    note_im2col(dims.depth * dims.cin * dims.kh * dims.kw * dims.hout *
+                dims.wout);
     const float* pb = bias ? bias->value().raw() : nullptr;
-    if (use_gemm())
-      conv2d_forward_gemm(dims, xv.raw(), wv.raw(), pb, out.raw());
-    else
-      conv2d_forward_direct(dims, xv.raw(), wv.raw(), pb, out.raw());
+    conv2d_forward_gemm(dims, xv.raw(), wv.raw(), pb, out.raw());
   }
 
   Value xc = x, wc = w, bc = bias;
@@ -483,12 +354,8 @@ Value conv2d_per_depth(const Value& x, const Value& w, const Value& bias,
         float* pgx = need_x ? xc->grad().raw() : nullptr;
         float* pgw = need_w ? wc->grad().raw() : nullptr;
         float* pgb = need_b ? bc->grad().raw() : nullptr;
-        if (use_gemm())
-          conv2d_backward_gemm(dims, g.raw(), xc->value().raw(),
-                               wc->value().raw(), pgx, pgw, pgb);
-        else
-          conv2d_backward_direct(dims, g.raw(), xc->value().raw(),
-                                 wc->value().raw(), pgx, pgw, pgb);
+        conv2d_backward_gemm(dims, g.raw(), xc->value().raw(),
+                             wc->value().raw(), pgx, pgw, pgb);
       });
 }
 
@@ -522,38 +389,6 @@ void convt2d_forward_gemm(const ConvT2dDims& dims, const float* px,
       col2im_2d(po + d * hout * wout, cout, depth * hout * wout, hout, wout,
                 kh, kw, stride, pad, hin, win, cols);
     }
-  });
-}
-
-void convt2d_forward_direct(const ConvT2dDims& dims, const float* px,
-                            const float* pw, float* po) {
-  const auto [cin, depth, hin, win, cout, kh, kw, hout, wout, stride, pad] =
-      dims;
-  // The scatter writes land in the (co, d) plane of the source depth, so
-  // splitting over depth keeps output writes disjoint.
-  parallel::parallel_for(0, depth, 1, [&](std::int64_t d0, std::int64_t d1) {
-    for (std::int64_t d = d0; d < d1; ++d)
-      for (std::int64_t ci = 0; ci < cin; ++ci) {
-        const float* xbase = px + (ci * depth + d) * hin * win;
-        for (std::int64_t h = 0; h < hin; ++h)
-          for (std::int64_t ww = 0; ww < win; ++ww) {
-            const float xval = xbase[h * win + ww];
-            if (xval == 0.0f) continue;
-            for (std::int64_t co = 0; co < cout; ++co) {
-              const float* wbase = pw + (ci * cout + co) * kh * kw;
-              float* obase = po + (co * depth + d) * hout * wout;
-              for (std::int64_t i = 0; i < kh; ++i) {
-                const auto ho = h * stride - pad + i;
-                if (ho < 0 || ho >= hout) continue;
-                for (std::int64_t j = 0; j < kw; ++j) {
-                  const auto wo = ww * stride - pad + j;
-                  if (wo < 0 || wo >= wout) continue;
-                  obase[ho * wout + wo] += xval * wbase[i * kw + j];
-                }
-              }
-            }
-          }
-      }
   });
 }
 
@@ -595,60 +430,6 @@ void convt2d_backward_gemm(const ConvT2dDims& dims, const float* pg,
   if (need_w) fold_flat_partials(pgw, gw_parts, chunks, wsize);
 }
 
-void convt2d_backward_direct(const ConvT2dDims& dims, const float* pg,
-                             const float* px, const float* pw, float* pgx,
-                             float* pgw) {
-  const auto [cin, depth, hin, win, cout, kh, kw, hout, wout, stride, pad] =
-      dims;
-  const bool need_x = pgx != nullptr;
-  const bool need_w = pgw != nullptr;
-  // Depth split again: gx writes are depth-disjoint, gw goes through
-  // chunk partials.
-  const auto wsize = cin * cout * kh * kw;
-  const auto chunks = parallel::chunk_count(0, depth, 1);
-  std::vector<std::vector<float>> gw_parts(
-      need_w ? static_cast<std::size_t>(chunks) : 0);
-  parallel::for_chunks(
-      0, depth, 1,
-      [&](std::int64_t chunk, std::int64_t d0, std::int64_t d1) {
-        float* gwp = nullptr;
-        if (need_w) {
-          auto& buf = gw_parts[static_cast<std::size_t>(chunk)];
-          buf.assign(static_cast<std::size_t>(wsize), 0.0f);
-          gwp = buf.data();
-        }
-        for (std::int64_t d = d0; d < d1; ++d)
-          for (std::int64_t ci = 0; ci < cin; ++ci) {
-            const auto xoff = (ci * depth + d) * hin * win;
-            for (std::int64_t h = 0; h < hin; ++h)
-              for (std::int64_t ww = 0; ww < win; ++ww) {
-                double gx_acc = 0.0;
-                const float xval = px[xoff + h * win + ww];
-                for (std::int64_t co = 0; co < cout; ++co) {
-                  const float* wbase = pw + (ci * cout + co) * kh * kw;
-                  float* gwbase =
-                      need_w ? gwp + (ci * cout + co) * kh * kw : nullptr;
-                  const float* gbase = pg + (co * depth + d) * hout * wout;
-                  for (std::int64_t i = 0; i < kh; ++i) {
-                    const auto ho = h * stride - pad + i;
-                    if (ho < 0 || ho >= hout) continue;
-                    for (std::int64_t j = 0; j < kw; ++j) {
-                      const auto wo = ww * stride - pad + j;
-                      if (wo < 0 || wo >= wout) continue;
-                      const float go = gbase[ho * wout + wo];
-                      gx_acc += static_cast<double>(go) * wbase[i * kw + j];
-                      if (need_w) gwbase[i * kw + j] += go * xval;
-                    }
-                  }
-                }
-                if (need_x)
-                  pgx[xoff + h * win + ww] += static_cast<float>(gx_acc);
-              }
-          }
-      });
-  if (need_w) fold_partials(pgw, gw_parts, wsize);
-}
-
 }  // namespace
 
 Value conv_transpose2d_per_depth(const Value& x, const Value& w,
@@ -679,8 +460,8 @@ Value conv_transpose2d_per_depth(const Value& x, const Value& w,
     SDMPEB_SPAN("convt2d", "flops",
                 2 * dims.depth * dims.cin * dims.cout * dims.kh * dims.kw *
                     dims.hin * dims.win);
-    note_conv_dispatch(use_gemm(), dims.depth * dims.cout * dims.kh *
-                                       dims.kw * dims.hin * dims.win);
+    note_im2col(dims.depth * dims.cout * dims.kh * dims.kw * dims.hin *
+                dims.win);
     float* po = out.raw();
     if (bias) {
       const float* pb = bias->value().raw();
@@ -688,10 +469,7 @@ Value conv_transpose2d_per_depth(const Value& x, const Value& w,
       for (std::int64_t co = 0; co < dims.cout; ++co)
         std::fill(po + co * plane, po + (co + 1) * plane, pb[co]);
     }
-    if (use_gemm())
-      convt2d_forward_gemm(dims, xv.raw(), wv.raw(), po);
-    else
-      convt2d_forward_direct(dims, xv.raw(), wv.raw(), po);
+    convt2d_forward_gemm(dims, xv.raw(), wv.raw(), po);
   }
 
   Value xc = x, wc = w, bc = bias;
@@ -717,12 +495,8 @@ Value conv_transpose2d_per_depth(const Value& x, const Value& w,
         if (!need_x && !need_w) return;
         float* pgx = need_x ? xc->grad().raw() : nullptr;
         float* pgw = need_w ? wc->grad().raw() : nullptr;
-        if (use_gemm())
-          convt2d_backward_gemm(dims, g.raw(), xc->value().raw(),
-                                wc->value().raw(), pgx, pgw);
-        else
-          convt2d_backward_direct(dims, g.raw(), xc->value().raw(),
-                                  wc->value().raw(), pgx, pgw);
+        convt2d_backward_gemm(dims, g.raw(), xc->value().raw(),
+                              wc->value().raw(), pgx, pgw);
       });
 }
 
@@ -760,46 +534,6 @@ void conv3d_forward_gemm(const Conv3dDims& dims, const float* px,
                  dout * hw, pb ? 1.0f : 0.0f);
     }
   });
-}
-
-void conv3d_forward_direct(const Conv3dDims& dims, const float* px,
-                           const float* pw, const float* pb, float* po) {
-  const auto [cin, din, hin, win, cout, kd, kh, kw, dout, hout, wout, stride,
-              pad] = dims;
-  // One task per (co, od) output plane; planes are disjoint.
-  parallel::parallel_for(
-      0, cout * dout, 1, [&](std::int64_t p0, std::int64_t p1) {
-        for (std::int64_t p = p0; p < p1; ++p) {
-          const auto co = p / dout;
-          const auto od = p % dout;
-          const float b = pb ? pb[co] : 0.0f;
-          for (std::int64_t oh = 0; oh < hout; ++oh)
-            for (std::int64_t ow = 0; ow < wout; ++ow) {
-              double acc = b;
-              for (std::int64_t ci = 0; ci < cin; ++ci) {
-                const float* xch = px + ci * din * hin * win;
-                const float* wch = pw + (co * cin + ci) * kd * kh * kw;
-                for (std::int64_t a = 0; a < kd; ++a) {
-                  const auto id = od * stride - pad + a;
-                  if (id < 0 || id >= din) continue;
-                  for (std::int64_t i = 0; i < kh; ++i) {
-                    const auto ih = oh * stride - pad + i;
-                    if (ih < 0 || ih >= hin) continue;
-                    const float* xrow = xch + (id * hin + ih) * win;
-                    const float* wrow = wch + (a * kh + i) * kw;
-                    for (std::int64_t j = 0; j < kw; ++j) {
-                      const auto iw = ow * stride - pad + j;
-                      if (iw < 0 || iw >= win) continue;
-                      acc += static_cast<double>(xrow[iw]) * wrow[j];
-                    }
-                  }
-                }
-              }
-              po[((co * dout + od) * hout + oh) * wout + ow] =
-                  static_cast<float>(acc);
-            }
-        }
-      });
 }
 
 void conv3d_backward_gemm(const Conv3dDims& dims, const float* pg,
@@ -860,63 +594,6 @@ void conv3d_backward_gemm(const Conv3dDims& dims, const float* pg,
   if (need_b) fold_flat_partials(pgb, gb_parts, chunks, cout);
 }
 
-void conv3d_backward_direct(const Conv3dDims& dims, const float* pg,
-                            const float* px, const float* pw, float* pgx,
-                            float* pgw, float* pgb) {
-  const auto [cin, din, hin, win, cout, kd, kh, kw, dout, hout, wout, stride,
-              pad] = dims;
-  const bool need_x = pgx != nullptr;
-  const bool need_w = pgw != nullptr;
-  const bool need_b = pgb != nullptr;
-  // Split over output channels: weight and bias grads are co-disjoint;
-  // the x-gradient is shared across co, so it accumulates into
-  // per-chunk partials folded in chunk order.
-  const auto xsize = cin * din * hin * win;
-  const auto chunks = parallel::chunk_count(0, cout, 1);
-  std::vector<std::vector<float>> gx_parts(
-      need_x ? static_cast<std::size_t>(chunks) : 0);
-  parallel::for_chunks(
-      0, cout, 1,
-      [&](std::int64_t chunk, std::int64_t c0, std::int64_t c1) {
-        float* gxp = nullptr;
-        if (need_x) {
-          auto& buf = gx_parts[static_cast<std::size_t>(chunk)];
-          buf.assign(static_cast<std::size_t>(xsize), 0.0f);
-          gxp = buf.data();
-        }
-        for (std::int64_t co = c0; co < c1; ++co)
-          for (std::int64_t od = 0; od < dout; ++od)
-            for (std::int64_t oh = 0; oh < hout; ++oh)
-              for (std::int64_t ow = 0; ow < wout; ++ow) {
-                const float go =
-                    pg[((co * dout + od) * hout + oh) * wout + ow];
-                if (go == 0.0f) continue;
-                if (need_b) pgb[co] += go;
-                for (std::int64_t ci = 0; ci < cin; ++ci) {
-                  const auto xch = ci * din * hin * win;
-                  const auto wch = (co * cin + ci) * kd * kh * kw;
-                  for (std::int64_t a = 0; a < kd; ++a) {
-                    const auto id = od * stride - pad + a;
-                    if (id < 0 || id >= din) continue;
-                    for (std::int64_t i = 0; i < kh; ++i) {
-                      const auto ih = oh * stride - pad + i;
-                      if (ih < 0 || ih >= hin) continue;
-                      const auto xrow = xch + (id * hin + ih) * win;
-                      const auto wrow = wch + (a * kh + i) * kw;
-                      for (std::int64_t j = 0; j < kw; ++j) {
-                        const auto iw = ow * stride - pad + j;
-                        if (iw < 0 || iw >= win) continue;
-                        if (need_x) gxp[xrow + iw] += go * pw[wrow + j];
-                        if (need_w) pgw[wrow + j] += go * px[xrow + iw];
-                      }
-                    }
-                  }
-                }
-              }
-      });
-  if (need_x) fold_partials(pgx, gx_parts, xsize);
-}
-
 }  // namespace
 
 Value conv3d(const Value& x, const Value& w, const Value& bias,
@@ -946,13 +623,10 @@ Value conv3d(const Value& x, const Value& w, const Value& bias,
   {
     SDMPEB_SPAN("conv3d", "flops",
                 2 * out.numel() * dims.cin * dims.kd * dims.kh * dims.kw);
-    note_conv_dispatch(use_gemm(), dims.cin * dims.kd * dims.kh * dims.kw *
-                                       dims.dout * dims.hout * dims.wout);
+    note_im2col(dims.cin * dims.kd * dims.kh * dims.kw * dims.dout *
+                dims.hout * dims.wout);
     const float* pb = bias ? bias->value().raw() : nullptr;
-    if (use_gemm())
-      conv3d_forward_gemm(dims, xv.raw(), wv.raw(), pb, out.raw());
-    else
-      conv3d_forward_direct(dims, xv.raw(), wv.raw(), pb, out.raw());
+    conv3d_forward_gemm(dims, xv.raw(), wv.raw(), pb, out.raw());
   }
 
   Value xc = x, wc = w, bc = bias;
@@ -968,17 +642,13 @@ Value conv3d(const Value& x, const Value& w, const Value& bias,
         float* pgx = need_x ? xc->grad().raw() : nullptr;
         float* pgw = need_w ? wc->grad().raw() : nullptr;
         float* pgb = need_b ? bc->grad().raw() : nullptr;
-        if (use_gemm())
-          conv3d_backward_gemm(dims, g.raw(), xc->value().raw(),
-                               wc->value().raw(), pgx, pgw, pgb);
-        else
-          conv3d_backward_direct(dims, g.raw(), xc->value().raw(),
-                                 wc->value().raw(), pgx, pgw, pgb);
+        conv3d_backward_gemm(dims, g.raw(), xc->value().raw(),
+                             wc->value().raw(), pgx, pgw, pgb);
       });
 }
 
 // ===========================================================================
-// Depthwise convolutions: direct in both gemm backends, with the bounds
+// Depthwise convolutions: direct loops (no GEMM lowering), with the bounds
 // checks hoisted out of the interior loops. The valid kernel ranges depend
 // only on the output coordinate, so the (a, i) limits move out of the pixel
 // loops and the width loop splits into edge / branch-free-interior / edge
@@ -1008,7 +678,6 @@ Value dwconv3d(const Value& x, const Value& w, const Value& bias,
   Tensor out(Shape{channels, dout, hout, wout});
   {
     SDMPEB_SPAN("dwconv3d", "flops", 2 * out.numel() * kd * kh * kw);
-    note_conv_dispatch(false, 0);
     const float* px = xv.raw();
     const float* pw = wv.raw();
     const float* pb = bias ? bias->value().raw() : nullptr;
@@ -1130,7 +799,6 @@ Value dwconv1d_seq(const Value& x, const Value& w, const Value& bias) {
   Tensor out(Shape{rows, cols});
   {
     SDMPEB_SPAN("dwconv1d", "flops", 2 * out.numel() * kernel);
-    note_conv_dispatch(false, 0);
     const float* px = xv.raw();
     const float* pw = wv.raw();
     const float* pb = bias ? bias->value().raw() : nullptr;

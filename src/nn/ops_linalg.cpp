@@ -16,8 +16,7 @@ namespace {
 /// Raw (non-autograd) matrix product with optional transposed operand
 /// layouts: computes op(a) @ op(b) where op transposes the stored matrix
 /// when the flag is set. All four variants run on the shared packed GEMM
-/// core (common/gemm.hpp); SDMPEB_GEMM_NAIVE=1 swaps in the bit-identical
-/// naive reference.
+/// core (common/gemm.hpp).
 Tensor matmul_raw(const Tensor& a, const Tensor& b, bool trans_a,
                   bool trans_b) {
   SDMPEB_CHECK(a.rank() == 2 && b.rank() == 2);

@@ -4,59 +4,9 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/obs.hpp"
 #include "common/simd.hpp"
 
 namespace sdmpeb::peb {
-
-void TridiagSolver::solve(std::span<const double> sub,
-                          std::span<const double> diag,
-                          std::span<const double> sup,
-                          std::span<const double> rhs,
-                          std::span<double> solution,
-                          TridiagWorkspace& workspace) {
-  const std::size_t n = diag.size();
-  workspace.c.resize(n);
-  workspace.d.resize(n);
-  solve(sub, diag, sup, rhs, solution, workspace.c, workspace.d);
-}
-
-void TridiagSolver::solve(std::span<const double> sub,
-                          std::span<const double> diag,
-                          std::span<const double> sup,
-                          std::span<const double> rhs,
-                          std::span<double> solution,
-                          std::span<double> c_scratch,
-                          std::span<double> d_scratch) {
-  const std::size_t n = diag.size();
-  SDMPEB_CHECK(n >= 1);
-  SDMPEB_CHECK(sub.size() == n && sup.size() == n && rhs.size() == n &&
-               solution.size() == n);
-  SDMPEB_CHECK(c_scratch.size() >= n && d_scratch.size() >= n);
-
-  // Per-line counter only — a span here would flood the rings (one solve
-  // per grid line per sweep); the enclosing ADI sweep carries the span.
-  if (obs::trace_enabled()) {
-    static obs::Counter& solves = obs::counter("peb.tridiag_solves");
-    solves.add(1);
-  }
-
-  auto c = c_scratch;
-  auto d = d_scratch;
-
-  SDMPEB_CHECK_MSG(std::abs(diag[0]) > 0.0, "singular tridiagonal system");
-  c[0] = sup[0] / diag[0];
-  d[0] = rhs[0] / diag[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    const double denom = diag[i] - sub[i] * c[i - 1];
-    SDMPEB_CHECK_MSG(std::abs(denom) > 1e-300, "singular tridiagonal system");
-    c[i] = sup[i] / denom;
-    d[i] = (rhs[i] - sub[i] * d[i - 1]) / denom;
-  }
-  solution[n - 1] = d[n - 1];
-  for (std::size_t i = n - 1; i-- > 0;)
-    solution[i] = d[i] - c[i] * solution[i + 1];
-}
 
 void TridiagFactors::factor(std::span<const double> sub_band,
                             std::span<const double> diag_band,
@@ -68,7 +18,7 @@ void TridiagFactors::factor(std::span<const double> sub_band,
   denom.resize(n);
   sub.assign(sub_band.begin(), sub_band.end());
 
-  // Same elimination arithmetic as TridiagSolver::solve, hoisted out of the
+  // The elimination arithmetic of the Thomas algorithm, hoisted out of the
   // per-line loop; the pivot checks move here too, once per sweep.
   SDMPEB_CHECK_MSG(std::abs(diag_band[0]) > 0.0,
                    "singular tridiagonal system");
@@ -101,9 +51,9 @@ void adi_solve_lines(const TridiagFactors& factors, std::int64_t n,
     }
   }
 
-  // Scalar path, one lane at a time: op-for-op the TridiagSolver::solve
-  // substitution against the prefactored coefficients, reading the rhs from
-  // the strided grid and writing the clamped solution back in place.
+  // Scalar path, one lane at a time: the Thomas substitution against the
+  // prefactored coefficients, reading the rhs from the strided grid and
+  // writing the clamped solution back in place.
   for (int lane = 0; lane < lanes; ++lane) {
     double* base = data + lane * lane_stride;
     double* d = d_scratch.data() + static_cast<std::int64_t>(lane) * n;

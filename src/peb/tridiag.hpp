@@ -6,57 +6,17 @@
 
 namespace sdmpeb::peb {
 
-/// Caller-owned scratch for TridiagSolver::solve. Concurrent line solves
-/// (the parallel ADI sweeps) each hold their own workspace, so nothing
-/// mutable is shared between threads; buffers are sized on first use and
-/// reused across solves.
-struct TridiagWorkspace {
-  std::vector<double> c;
-  std::vector<double> d;
-};
-
-/// Thomas-algorithm solver for tridiagonal systems, the kernel of the
-/// locally-one-dimensional implicit diffusion steps. Solves
+/// Thomas-algorithm solver for the tridiagonal systems of the
+/// locally-one-dimensional implicit diffusion steps,
 ///   sub[i] * x[i-1] + diag[i] * x[i] + sup[i] * x[i+1] = rhs[i]
-/// with sub[0] and sup[n-1] ignored. Requires a diagonally dominant system
-/// (always true for backward-Euler diffusion matrices).
-class TridiagSolver {
- public:
-  /// Stateless solve into caller-owned scratch — safe to run concurrently
-  /// as long as each caller passes a distinct workspace.
-  static void solve(std::span<const double> sub, std::span<const double> diag,
-                    std::span<const double> sup, std::span<const double> rhs,
-                    std::span<double> solution, TridiagWorkspace& workspace);
-
-  /// Span-scratch variant for callers that manage their own buffers (the
-  /// ADI sweeps hand out WorkspaceArena slices so steady-state solves never
-  /// allocate). c_scratch and d_scratch must each hold diag.size() doubles
-  /// and be distinct from every other span.
-  static void solve(std::span<const double> sub, std::span<const double> diag,
-                    std::span<const double> sup, std::span<const double> rhs,
-                    std::span<double> solution, std::span<double> c_scratch,
-                    std::span<double> d_scratch);
-
-  /// Convenience overload backed by this instance's workspace. NOT safe to
-  /// share one solver across threads; prefer the static overload in
-  /// parallel code.
-  void solve(std::span<const double> sub, std::span<const double> diag,
-             std::span<const double> sup, std::span<const double> rhs,
-             std::span<double> solution) {
-    solve(sub, diag, sup, rhs, solution, workspace_);
-  }
-
- private:
-  TridiagWorkspace workspace_;
-};
-
-/// Prefactored shared-band Thomas coefficients for batched ADI sweeps.
-/// Every line along one diffusion axis solves against the same tridiagonal
-/// matrix, so the elimination coefficients c[i] = sup[i] / denom[i] and the
-/// pivots denom[i] = diag[i] - sub[i] * c[i-1] depend only on the bands:
-/// factor() computes them once per sweep (validating every pivot), and the
-/// per-line work shrinks to the rhs forward/back substitution — which is
-/// also what lets the AVX2 backend run four lines per vector lane.
+/// with sub[0] and sup[n-1] ignored; the system must be diagonally dominant
+/// (always true for backward-Euler diffusion matrices). Every line along one
+/// diffusion axis solves against the same matrix, so the elimination
+/// coefficients c[i] = sup[i] / denom[i] and the pivots
+/// denom[i] = diag[i] - sub[i] * c[i-1] depend only on the bands: factor()
+/// computes them once per sweep (validating every pivot), and the per-line
+/// work shrinks to the rhs forward/back substitution in adi_solve_lines —
+/// which is also what lets the AVX2 backend run four lines per vector lane.
 struct TridiagFactors {
   std::vector<double> c;      ///< upper-band elimination coefficients
   std::vector<double> denom;  ///< forward-substitution pivots (denom[0] = diag[0])
@@ -73,9 +33,9 @@ struct TridiagFactors {
 /// of every lane (the Robin surface source); solutions are clamped at >= 0
 /// (concentrations; NaN propagates for the divergence guard) on writeback.
 /// d_scratch holds 4 * n doubles. Dispatches to the 4-lane AVX2 kernel when
-/// that backend is active and lanes == 4; the scalar path performs, per
-/// lane, the exact op sequence of TridiagSolver::solve. Deterministic: the
-/// per-element op order is fixed per backend regardless of lanes grouping.
+/// that backend is active and lanes == 4; the scalar path solves one lane
+/// at a time. Deterministic: the per-element op order is fixed per backend
+/// regardless of lanes grouping.
 void adi_solve_lines(const TridiagFactors& factors, std::int64_t n,
                      double* data, std::int64_t elem_stride,
                      std::int64_t lane_stride, int lanes, double rhs0_add,

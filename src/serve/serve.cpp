@@ -218,10 +218,7 @@ void ServeRuntime::respond(Pending&& item, Status status, Tensor label,
       completed_ctr.add(1);
       latency_histogram().add(response.total_ms);
       break;
-    case Status::kExpired:
-      expired_ctr.add(1);
-      shed_ctr.add(1);  // expired work is shed, not executed
-      break;
+    case Status::kExpired: expired_ctr.add(1); break;
     case Status::kShed: shed_ctr.add(1); break;
     default: error_ctr.add(1); break;
   }

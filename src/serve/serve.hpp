@@ -132,8 +132,10 @@ class ServeRuntime {
   bool degraded() const;
   std::int64_t queue_depth() const;
 
-  /// Monotonic counters since construction (mirrored into the obs registry
-  /// under serve.*).
+  /// Monotonic counters since construction. Each outcome count is mirrored
+  /// by a serve.<field> registry counter; serve.rejected sums rejected_full
+  /// and rejected_draining, queue_depth_peak is the serve.queue_depth_peak
+  /// gauge, and submitted / batches have no registry twin.
   struct Stats {
     std::uint64_t submitted = 0;
     std::uint64_t accepted = 0;

@@ -11,6 +11,7 @@
 #include "common/simd.hpp"
 #include "gradcheck.hpp"
 #include "nn/ops.hpp"
+#include "oracle.hpp"
 
 namespace sdmpeb {
 namespace {
@@ -19,27 +20,23 @@ namespace nnops = nn::ops;
 using nn::Value;
 using sdmpeb::testing::expect_gradients_match;
 
-/// Restores thread count, GEMM backend, and kernel backend after each test
-/// so ordering cannot leak state. The kernel backend is pinned to scalar for
-/// the duration of each test: the packed-vs-naive BITWISE contract holds per
-/// kernel backend (DESIGN.md §11), and naive always runs scalar, so these
-/// tests exercise the scalar microtile. Cross-backend agreement (tolerance)
-/// is covered by simd_test.
+/// Restores thread count and kernel backend after each test so ordering
+/// cannot leak state. The kernel backend is pinned to scalar for the
+/// duration of each test: the packed-vs-oracle BITWISE contract holds for
+/// the scalar microtile only (DESIGN.md §11). AVX2 agreement with the oracle
+/// (tolerance) is covered by simd_test.
 class GemmTest : public ::testing::Test {
  protected:
   void SetUp() override {
     threads_ = parallel::thread_count();
-    backend_ = gemm::backend();
     isa_ = simd::active();
     simd::set_active(simd::Isa::kScalar);
   }
   void TearDown() override {
     parallel::set_thread_count(threads_);
-    gemm::set_backend(backend_);
     simd::set_active(isa_);
   }
   int threads_ = 1;
-  gemm::Backend backend_ = gemm::Backend::kPacked;
   simd::Isa isa_ = simd::Isa::kScalar;
 };
 
@@ -50,8 +47,8 @@ std::vector<float> random_vec(std::int64_t n, std::uint64_t seed) {
   return v;
 }
 
-/// Run gemm_packed and gemm_naive on identical inputs and require the
-/// outputs to be BITWISE equal (the DESIGN.md §8 contract).
+/// Run the packed GEMM and the naive oracle on identical inputs and require
+/// the outputs to be BITWISE equal (the DESIGN.md §8 contract).
 void expect_bitwise_match(std::int64_t m, std::int64_t n, std::int64_t k,
                           bool trans_a, bool trans_b, float beta,
                           std::uint64_t seed) {
@@ -66,10 +63,10 @@ void expect_bitwise_match(std::int64_t m, std::int64_t n, std::int64_t k,
 
   auto c_packed = c0;
   auto c_naive = c0;
-  gemm::gemm_packed(m, n, k, a.data(), lda, trans_a, b.data(), ldb, trans_b,
-                    c_packed.data(), n, beta);
-  gemm::gemm_naive(m, n, k, a.data(), lda, trans_a, b.data(), ldb, trans_b,
-                   c_naive.data(), n, beta);
+  gemm::gemm(m, n, k, a.data(), lda, trans_a, b.data(), ldb, trans_b,
+             c_packed.data(), n, beta);
+  oracle::gemm(m, n, k, a.data(), lda, trans_a, b.data(), ldb, trans_b,
+               c_naive.data(), n, beta);
   EXPECT_EQ(std::memcmp(c_packed.data(), c_naive.data(),
                         c_packed.size() * sizeof(float)),
             0);
@@ -104,11 +101,11 @@ TEST_F(GemmTest, PackedIsThreadCountInvariant) {
   std::vector<float> c1(static_cast<std::size_t>(m * n));
   std::vector<float> c4(c1.size());
   parallel::set_thread_count(1);
-  gemm::gemm_packed(m, n, k, a.data(), k, false, b.data(), n, false,
-                    c1.data(), n, 0.0f);
+  gemm::gemm(m, n, k, a.data(), k, false, b.data(), n, false, c1.data(), n,
+             0.0f);
   parallel::set_thread_count(4);
-  gemm::gemm_packed(m, n, k, a.data(), k, false, b.data(), n, false,
-                    c4.data(), n, 0.0f);
+  gemm::gemm(m, n, k, a.data(), k, false, b.data(), n, false, c4.data(), n,
+             0.0f);
   EXPECT_EQ(std::memcmp(c1.data(), c4.data(), c1.size() * sizeof(float)), 0);
 }
 
@@ -119,10 +116,10 @@ TEST_F(GemmTest, StridedOutputLeavesGuardColumnsUntouched) {
   const auto b = random_vec(k * n, 12);
   std::vector<float> c_packed(static_cast<std::size_t>(m * ldc), 42.0f);
   auto c_naive = c_packed;
-  gemm::gemm_packed(m, n, k, a.data(), k, false, b.data(), n, false,
-                    c_packed.data(), ldc, 0.0f);
-  gemm::gemm_naive(m, n, k, a.data(), k, false, b.data(), n, false,
-                   c_naive.data(), ldc, 0.0f);
+  gemm::gemm(m, n, k, a.data(), k, false, b.data(), n, false,
+             c_packed.data(), ldc, 0.0f);
+  oracle::gemm(m, n, k, a.data(), k, false, b.data(), n, false,
+               c_naive.data(), ldc, 0.0f);
   EXPECT_EQ(std::memcmp(c_packed.data(), c_naive.data(),
                         c_packed.size() * sizeof(float)),
             0);
@@ -133,13 +130,13 @@ TEST_F(GemmTest, StridedOutputLeavesGuardColumnsUntouched) {
 
 TEST_F(GemmTest, ZeroTimesNanPropagates) {
   // Regression for the retired `if (av == 0.0f) continue;` fast path: a
-  // zero activation against a NaN weight must poison the output, in both
-  // implementations.
+  // zero activation against a NaN weight must poison the output, in the
+  // library and in the oracle.
   const std::int64_t m = 2, n = 8, k = 3;
   std::vector<float> a(static_cast<std::size_t>(m * k), 0.0f);
   auto b = random_vec(k * n, 13);
   b[3] = std::nanf("");
-  for (auto* fn : {&gemm::gemm_packed, &gemm::gemm_naive}) {
+  for (auto* fn : {&gemm::gemm, &oracle::gemm}) {
     std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
     (*fn)(m, n, k, a.data(), k, false, b.data(), n, false, c.data(), n, 0.0f);
     EXPECT_TRUE(std::isnan(c[3]));
@@ -149,16 +146,17 @@ TEST_F(GemmTest, ZeroTimesNanPropagates) {
 
 TEST_F(GemmTest, DegenerateKScalesC) {
   std::vector<float> c = {1.0f, 2.0f, 3.0f, 4.0f};
-  gemm::gemm_packed(2, 2, 0, nullptr, 1, false, nullptr, 1, false, c.data(),
-                    2, 0.5f);
+  gemm::gemm(2, 2, 0, nullptr, 1, false, nullptr, 1, false, c.data(), 2,
+             0.5f);
   EXPECT_FLOAT_EQ(c[0], 0.5f);
   EXPECT_FLOAT_EQ(c[3], 2.0f);
 }
 
 // ---------------------------------------------------------------------------
-// Conv lowerings: the im2col/GEMM path against the retired direct kernels.
-// Different accumulation orders and precisions (float panels vs double
-// scalars), so agreement is to a relative tolerance, not bitwise.
+// Conv lowerings: the im2col/GEMM path against the direct-loop oracle (the
+// two "backends" the test names refer to). Different accumulation orders
+// and precisions (float panels vs double scalars), so agreement is to a
+// relative tolerance, not bitwise.
 // ---------------------------------------------------------------------------
 
 Tensor random_tensor(Shape shape, std::uint64_t seed) {
@@ -175,16 +173,7 @@ void expect_close(const Tensor& got, const Tensor& want, float tol) {
   }
 }
 
-/// Forward the same op under both backends and compare values.
-void expect_backends_agree(
-    const std::function<Value(gemm::Backend)>& run, float tol = 1e-4f) {
-  gemm::set_backend(gemm::Backend::kPacked);
-  Value packed = run(gemm::Backend::kPacked);
-  gemm::set_backend(gemm::Backend::kNaive);
-  Value direct = run(gemm::Backend::kNaive);
-  gemm::set_backend(gemm::Backend::kPacked);
-  expect_close(packed->value(), direct->value(), tol);
-}
+constexpr float kConvTol = 1e-4f;
 
 TEST_F(GemmTest, Conv2dBackendsAgree) {
   const auto x = random_tensor(Shape{3, 2, 9, 11}, 21);
@@ -193,10 +182,10 @@ TEST_F(GemmTest, Conv2dBackendsAgree) {
   for (auto [stride, pad] : {std::pair<std::int64_t, std::int64_t>{1, 1},
                              {2, 1},
                              {1, 0}})
-    expect_backends_agree([&, stride = stride, pad = pad](gemm::Backend) {
-      return nnops::conv2d_per_depth(nn::constant(x), nn::constant(w),
-                                     nn::constant(b), stride, pad);
-    });
+    expect_close(nnops::conv2d_per_depth(nn::constant(x), nn::constant(w),
+                                         nn::constant(b), stride, pad)
+                     ->value(),
+                 oracle::conv2d_per_depth(x, w, b, stride, pad), kConvTol);
 }
 
 TEST_F(GemmTest, ConvTranspose2dBackendsAgree) {
@@ -206,10 +195,11 @@ TEST_F(GemmTest, ConvTranspose2dBackendsAgree) {
   for (auto [stride, pad] : {std::pair<std::int64_t, std::int64_t>{1, 1},
                              {2, 1},
                              {2, 0}})
-    expect_backends_agree([&, stride = stride, pad = pad](gemm::Backend) {
-      return nnops::conv_transpose2d_per_depth(
-          nn::constant(x), nn::constant(w), nn::constant(b), stride, pad);
-    });
+    expect_close(
+        nnops::conv_transpose2d_per_depth(nn::constant(x), nn::constant(w),
+                                          nn::constant(b), stride, pad)
+            ->value(),
+        oracle::conv_transpose2d_per_depth(x, w, b, stride, pad), kConvTol);
 }
 
 TEST_F(GemmTest, Conv3dBackendsAgree) {
@@ -218,19 +208,17 @@ TEST_F(GemmTest, Conv3dBackendsAgree) {
   const auto b = random_tensor(Shape{3}, 43);
   for (auto [stride, pad] : {std::pair<std::int64_t, std::int64_t>{1, 1},
                              {2, 1}})
-    expect_backends_agree([&, stride = stride, pad = pad](gemm::Backend) {
-      return nnops::conv3d(nn::constant(x), nn::constant(w), nn::constant(b),
-                           stride, pad);
-    });
+    expect_close(nnops::conv3d(nn::constant(x), nn::constant(w),
+                               nn::constant(b), stride, pad)
+                     ->value(),
+                 oracle::conv3d(x, w, b, stride, pad), kConvTol);
 }
 
 // ---------------------------------------------------------------------------
-// Gradchecks on the im2col paths (backend forced to kPacked so an
-// SDMPEB_GEMM_NAIVE environment cannot silently retarget the test).
+// Gradchecks on the im2col paths.
 // ---------------------------------------------------------------------------
 
 TEST_F(GemmTest, GradCheckConv2dIm2col) {
-  gemm::set_backend(gemm::Backend::kPacked);
   expect_gradients_match(
       [](const std::vector<Value>& v) {
         return nnops::sum(
@@ -241,7 +229,6 @@ TEST_F(GemmTest, GradCheckConv2dIm2col) {
 }
 
 TEST_F(GemmTest, GradCheckConvTranspose2dIm2col) {
-  gemm::set_backend(gemm::Backend::kPacked);
   expect_gradients_match(
       [](const std::vector<Value>& v) {
         return nnops::sum(nnops::square(
@@ -252,7 +239,6 @@ TEST_F(GemmTest, GradCheckConvTranspose2dIm2col) {
 }
 
 TEST_F(GemmTest, GradCheckConv3dIm2col) {
-  gemm::set_backend(gemm::Backend::kPacked);
   expect_gradients_match(
       [](const std::vector<Value>& v) {
         return nnops::sum(
@@ -289,7 +275,6 @@ void expect_steady_state_no_alloc(const std::function<void()>& step) {
 }
 
 TEST_F(GemmTest, ArenaStopsAllocatingAfterWarmup) {
-  gemm::set_backend(gemm::Backend::kPacked);
   parallel::set_thread_count(2);
   const auto x0 = random_tensor(Shape{2, 3, 12, 12}, 61);
   const auto w0 = random_tensor(Shape{4, 2, 3, 3}, 62);
@@ -312,12 +297,12 @@ TEST_F(GemmTest, ArenaReusesAcrossRepeatedGemmCalls) {
   const auto a = random_vec(m * k, 71);
   const auto b = random_vec(k * n, 72);
   std::vector<float> c(static_cast<std::size_t>(m * n));
-  gemm::gemm_packed(m, n, k, a.data(), k, false, b.data(), n, false, c.data(),
-                    n, 0.0f);
+  gemm::gemm(m, n, k, a.data(), k, false, b.data(), n, false, c.data(), n,
+             0.0f);
   const auto blocks = WorkspaceArena::total_heap_blocks();
   for (int i = 0; i < 10; ++i)
-    gemm::gemm_packed(m, n, k, a.data(), k, false, b.data(), n, false,
-                      c.data(), n, 0.0f);
+    gemm::gemm(m, n, k, a.data(), k, false, b.data(), n, false, c.data(), n,
+               0.0f);
   EXPECT_EQ(WorkspaceArena::total_heap_blocks(), blocks);
 }
 

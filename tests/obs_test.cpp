@@ -272,6 +272,14 @@ TEST_F(ObsTest, ChromeTraceEmptyIsStillValidJson) {
   EXPECT_NE(os.str().find("\"traceEvents\""), std::string::npos);
 }
 
+std::string read_file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
 TEST_F(ObsTest, MetricsCsvAndJsonContainRegisteredMetrics) {
   obs::counter("test.csv_counter").add(3);
   obs::gauge("test.csv_gauge").set(1.5);
@@ -294,21 +302,18 @@ TEST_F(ObsTest, MetricsCsvAndJsonContainRegisteredMetrics) {
   EXPECT_NE(csv_text.find("test.csv_gauge,gauge,"), std::string::npos);
   EXPECT_NE(csv_text.find("test.csv_hist,histogram_le_"), std::string::npos);
 
-  std::ostringstream js;
-  obs::write_metrics_json(js);
-  const std::string json = js.str();
+  // The JSON form of the registry is the "metrics" object of a JSONL row.
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("sdmpeb_metrics_row_" + std::to_string(::getpid()) +
+                     ".jsonl");
+  std::filesystem::remove(path);
+  ASSERT_TRUE(obs::append_metrics_jsonl(path.string(), 0));
+  const std::string json = read_file_bytes(path.string());
+  std::filesystem::remove(path);
   check_balanced_json(json);
-  EXPECT_NE(json.find("\"test.csv_counter\""), std::string::npos);
+  EXPECT_NE(json.find("\"test.csv_counter\":3"), std::string::npos);
   EXPECT_NE(json.find("\"test.csv_hist\""), std::string::npos);
   EXPECT_NE(json.find("\"buckets\""), std::string::npos);
-}
-
-std::string read_file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 // Metrics registry hammered from the worker pool while another thread
@@ -319,17 +324,20 @@ TEST_F(ObsTest, MetricsSurviveConcurrentWritersAndMidFlightSnapshots) {
   const int previous = parallel::thread_count();
   parallel::set_thread_count(4);
 
+  const auto jsonl = std::filesystem::temp_directory_path() /
+                     ("sdmpeb_hammer_" + std::to_string(::getpid()) +
+                      ".jsonl");
+  std::filesystem::remove(jsonl);
   std::atomic<bool> done{false};
   std::atomic<int> snapshots{0};
   std::thread snapshotter([&] {
     while (!done.load(std::memory_order_relaxed)) {
       std::ostringstream csv;
       obs::write_metrics_csv(csv);
-      std::ostringstream js;
-      obs::write_metrics_json(js);
+      obs::append_metrics_jsonl(jsonl.string(),
+                                static_cast<std::uint64_t>(snapshots.load()));
       std::ostringstream prom;
       obs::write_metrics_prometheus(prom);
-      check_balanced_json(js.str());
       snapshots.fetch_add(1, std::memory_order_relaxed);
     }
   });
@@ -354,6 +362,12 @@ TEST_F(ObsTest, MetricsSurviveConcurrentWritersAndMidFlightSnapshots) {
   snapshotter.join();
 
   EXPECT_GE(snapshots.load(), 1);
+  std::istringstream rows(read_file_bytes(jsonl.string()));
+  std::filesystem::remove(jsonl);
+  int row_count = 0;
+  for (std::string row; std::getline(rows, row); ++row_count)
+    check_balanced_json(row);
+  EXPECT_EQ(row_count, snapshots.load());
   EXPECT_EQ(obs::counter("test.hammer_counter").value(),
             static_cast<std::uint64_t>(kChunks) * kAddsPerChunk);
   obs::Histogram& h = obs::histogram("test.hammer_hist", {8.0, 64.0});

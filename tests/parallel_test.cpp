@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -11,7 +10,6 @@
 #include "nn/ops.hpp"
 #include "nn/value.hpp"
 #include "peb/peb_solver.hpp"
-#include "peb/tridiag.hpp"
 #include "tensor/grid3.hpp"
 
 namespace sdmpeb {
@@ -216,78 +214,6 @@ TEST_F(ParallelTest, PebSolveBitwiseIdenticalAcrossThreadCounts) {
                 threaded.data()[static_cast<std::size_t>(i)])
           << "voxel " << i;
   }
-}
-
-// ---------------------------------------------------------------------------
-// TridiagSolver with caller-owned scratch: interleaved solves on separate
-// workspaces must match sequential solves (no hidden shared state).
-// ---------------------------------------------------------------------------
-
-struct TridiagSystem {
-  std::vector<double> sub, diag, sup, rhs;
-};
-
-TridiagSystem make_system(std::size_t n, std::uint64_t seed) {
-  TridiagSystem s;
-  s.sub.resize(n);
-  s.diag.resize(n);
-  s.sup.resize(n);
-  s.rhs.resize(n);
-  Rng rng(seed);
-  for (std::size_t i = 0; i < n; ++i) {
-    s.sub[i] = rng.uniform(-0.4, 0.4);
-    s.sup[i] = rng.uniform(-0.4, 0.4);
-    s.diag[i] = 2.0 + rng.uniform(0.0, 1.0);  // diagonally dominant
-    s.rhs[i] = rng.uniform(-1.0, 1.0);
-  }
-  return s;
-}
-
-TEST(Tridiag, InterleavedSolvesMatchSequential) {
-  constexpr std::size_t kN = 64;
-  constexpr int kRounds = 200;
-  const auto sys_a = make_system(kN, 1);
-  const auto sys_b = make_system(kN, 2);
-
-  // Sequential reference, one workspace reused across rounds.
-  std::vector<double> ref_a(kN), ref_b(kN);
-  {
-    peb::TridiagWorkspace ws;
-    peb::TridiagSolver::solve(sys_a.sub, sys_a.diag, sys_a.sup, sys_a.rhs,
-                              ref_a, ws);
-    peb::TridiagSolver::solve(sys_b.sub, sys_b.diag, sys_b.sup, sys_b.rhs,
-                              ref_b, ws);
-  }
-
-  // Two threads hammer the two systems concurrently, each thread with its
-  // own workspace. Every round must reproduce the sequential solution.
-  std::atomic<int> mismatches{0};
-  auto worker = [&](const TridiagSystem& sys,
-                    const std::vector<double>& expected) {
-    peb::TridiagWorkspace ws;
-    std::vector<double> out(kN);
-    for (int round = 0; round < kRounds; ++round) {
-      peb::TridiagSolver::solve(sys.sub, sys.diag, sys.sup, sys.rhs, out, ws);
-      for (std::size_t i = 0; i < kN; ++i)
-        if (out[i] != expected[i]) mismatches.fetch_add(1);
-    }
-  };
-  std::thread ta(worker, std::cref(sys_a), std::cref(ref_a));
-  std::thread tb(worker, std::cref(sys_b), std::cref(ref_b));
-  ta.join();
-  tb.join();
-  EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(Tridiag, LegacyInstanceOverloadStillSolves) {
-  const auto sys = make_system(16, 3);
-  std::vector<double> via_static(16), via_instance(16);
-  peb::TridiagWorkspace ws;
-  peb::TridiagSolver::solve(sys.sub, sys.diag, sys.sup, sys.rhs, via_static,
-                            ws);
-  peb::TridiagSolver solver;
-  solver.solve(sys.sub, sys.diag, sys.sup, sys.rhs, via_instance);
-  EXPECT_EQ(via_static, via_instance);
 }
 
 }  // namespace

@@ -35,38 +35,52 @@ TEST(TableI, DiffusionCoefficientsFromLengths) {
   EXPECT_NEAR(p.base_diff_z(), 225.0 / 180.0, 1e-12);
 }
 
+/// Solve one tridiagonal line through the production path: factor the
+/// bands, then substitute in place. The writeback clamps at 0, so the
+/// systems below have positive solutions.
+std::vector<double> solve_line(const std::vector<double>& sub,
+                               const std::vector<double>& diag,
+                               const std::vector<double>& sup,
+                               std::vector<double> rhs) {
+  TridiagFactors factors;
+  factors.factor(sub, diag, sup);
+  std::vector<double> scratch(4 * diag.size());
+  adi_solve_lines(factors, static_cast<std::int64_t>(diag.size()), rhs.data(),
+                  1, 0, 1, 0.0, scratch);
+  return rhs;
+}
+
 TEST(Tridiag, SolvesKnownSystem) {
   // [2 1 0; 1 2 1; 0 1 2] x = [4; 8; 8] -> x = [1; 2; 3].
-  std::vector<double> sub{0.0, 1.0, 1.0};
-  std::vector<double> diag{2.0, 2.0, 2.0};
-  std::vector<double> sup{1.0, 1.0, 0.0};
-  std::vector<double> rhs{4.0, 8.0, 8.0};
-  std::vector<double> x(3);
-  TridiagSolver solver;
-  solver.solve(sub, diag, sup, rhs, x);
+  const auto x = solve_line({0.0, 1.0, 1.0}, {2.0, 2.0, 2.0}, {1.0, 1.0, 0.0},
+                            {4.0, 8.0, 8.0});
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
   EXPECT_NEAR(x[2], 3.0, 1e-12);
 }
 
 TEST(Tridiag, SingleElementAndResidualCheck) {
-  TridiagSolver solver;
-  std::vector<double> one{0.0}, d{4.0}, s{0.0}, r{8.0}, x(1);
-  solver.solve(one, d, s, r, x);
-  EXPECT_DOUBLE_EQ(x[0], 2.0);
+  EXPECT_DOUBLE_EQ(solve_line({0.0}, {4.0}, {0.0}, {8.0})[0], 2.0);
 
-  // Random diagonally dominant system: verify by residual.
+  // Random diagonally dominant system with a known positive solution:
+  // verify the solution and the residual.
   Rng rng(1);
   const std::size_t n = 20;
-  std::vector<double> sub(n), diag(n), sup(n), rhs(n), sol(n);
+  std::vector<double> sub(n), diag(n), sup(n), want(n), rhs(n);
   for (std::size_t i = 0; i < n; ++i) {
     sub[i] = rng.uniform(-1.0, 1.0);
     sup[i] = rng.uniform(-1.0, 1.0);
     diag[i] = 3.0 + rng.uniform(0.0, 1.0);
-    rhs[i] = rng.uniform(-5.0, 5.0);
+    want[i] = rng.uniform(0.5, 2.0);
   }
-  solver.solve(sub, diag, sup, rhs, sol);
   for (std::size_t i = 0; i < n; ++i) {
+    rhs[i] = diag[i] * want[i];
+    if (i > 0) rhs[i] += sub[i] * want[i - 1];
+    if (i + 1 < n) rhs[i] += sup[i] * want[i + 1];
+  }
+  const auto sol = solve_line(sub, diag, sup, rhs);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(sol[i], want[i], 1e-9);
     double lhs = diag[i] * sol[i];
     if (i > 0) lhs += sub[i] * sol[i - 1];
     if (i + 1 < n) lhs += sup[i] * sol[i + 1];

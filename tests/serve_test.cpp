@@ -24,6 +24,7 @@
 #include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/obs.hpp"
 #include "common/rng.hpp"
 #include "nn/serialize.hpp"
 #include "serve/frozen_model.hpp"
@@ -36,6 +37,15 @@ namespace {
 bool same_data(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
          std::equal(a.data().begin(), a.data().end(), b.data().begin());
+}
+
+/// The serve.* registry counters, keyed by the name after "serve.".
+std::map<std::string, std::uint64_t> serve_counters() {
+  std::map<std::string, std::uint64_t> values;
+  for (const char* name : {"accepted", "rejected", "invalid", "completed",
+                           "expired", "shed", "errors", "degraded_entries"})
+    values[name] = obs::counter(std::string("serve.") + name).value();
+  return values;
 }
 
 /// Shared tiny checkpoint + frozen model: FrozenModel construction runs a
@@ -356,6 +366,7 @@ TEST_F(ServeTest, DeadlineExpiresWhileQueuedAndWhileBatched) {
   config.max_batch = 2;
   config.max_wait_ms = 40.0;
   config.fault_slow_infer_ms = 120.0;
+  const auto counters_before = serve_counters();
   serve::ServeRuntime runtime(*frozen_, config);
   Collector out;
 
@@ -392,6 +403,18 @@ TEST_F(ServeTest, DeadlineExpiresWhileQueuedAndWhileBatched) {
   const auto stats = runtime.stats();
   EXPECT_EQ(stats.expired, 2u);
   EXPECT_EQ(stats.responses(), stats.accepted);
+
+  // The registry mirrors Stats: an expiry counts once, under serve.expired.
+  auto delta = serve_counters();
+  for (auto& [name, value] : delta) value -= counters_before.at(name);
+  EXPECT_EQ(delta["accepted"], stats.accepted);
+  EXPECT_EQ(delta["rejected"], stats.rejected_full + stats.rejected_draining);
+  EXPECT_EQ(delta["invalid"], stats.invalid);
+  EXPECT_EQ(delta["completed"], stats.completed);
+  EXPECT_EQ(delta["expired"], stats.expired);
+  EXPECT_EQ(delta["shed"], stats.shed);
+  EXPECT_EQ(delta["errors"], stats.errors);
+  EXPECT_EQ(delta["degraded_entries"], stats.degraded_entries);
 }
 
 TEST_F(ServeTest, SustainedOverloadShedsLowestPriorityFirst) {

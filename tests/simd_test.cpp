@@ -15,6 +15,7 @@
 #include "common/simd.hpp"
 #include "nn/ops.hpp"
 #include "nn/value.hpp"
+#include "oracle.hpp"
 #include "peb/peb_solver.hpp"
 #include "peb/tridiag.hpp"
 #include "tensor/tensor.hpp"
@@ -25,21 +26,18 @@ namespace {
 namespace nnops = nn::ops;
 using nn::Value;
 
-/// Restores thread count, GEMM backend, and kernel backend after each test.
+/// Restores thread count and kernel backend after each test.
 class SimdTest : public ::testing::Test {
  protected:
   void SetUp() override {
     threads_ = parallel::thread_count();
-    backend_ = gemm::backend();
     isa_ = simd::active();
   }
   void TearDown() override {
     parallel::set_thread_count(threads_);
-    gemm::set_backend(backend_);
     simd::set_active(isa_);
   }
   int threads_ = 1;
-  gemm::Backend backend_ = gemm::Backend::kPacked;
   simd::Isa isa_ = simd::Isa::kScalar;
 };
 
@@ -199,7 +197,7 @@ TEST_F(SimdTest, ElementwiseBitwiseEqualAcrossBackends) {
 
 // ---------------------------------------------------------------------------
 // GEMM: bitwise deterministic per backend at any thread count; AVX2 agrees
-// with the naive reference to float tolerance, including shapes that are not
+// with the naive oracle to float tolerance, including shapes that are not
 // multiples of either microtile (6x8 scalar, 6x16 AVX2) and strided outputs.
 // ---------------------------------------------------------------------------
 
@@ -216,14 +214,14 @@ const GemmCase kGemmCases[] = {
     {12, 48, 48, true, true, 1.0f},   {64, 64, 64, false, false, 0.0f},
 };
 
-std::vector<float> run_gemm_packed(const GemmCase& t, std::uint64_t seed) {
+std::vector<float> run_gemm(const GemmCase& t, std::uint64_t seed) {
   const auto lda = t.ta ? t.m : t.k;
   const auto ldb = t.tb ? t.k : t.n;
   const auto a = random_vec((t.ta ? t.k : t.m) * lda, seed);
   const auto b = random_vec((t.tb ? t.n : t.k) * ldb, seed + 1);
   auto c = random_vec(t.m * t.n, seed + 2);
-  gemm::gemm_packed(t.m, t.n, t.k, a.data(), lda, t.ta, b.data(), ldb, t.tb,
-                    c.data(), t.n, t.beta);
+  gemm::gemm(t.m, t.n, t.k, a.data(), lda, t.ta, b.data(), ldb, t.tb,
+             c.data(), t.n, t.beta);
   return c;
 }
 
@@ -231,9 +229,9 @@ TEST_F(SimdTest, GemmBitwiseDeterministicPerBackendAcrossThreadCounts) {
   for_each_backend([&](simd::Isa isa) {
     for (const auto& t : kGemmCases) {
       parallel::set_thread_count(1);
-      const auto c1 = run_gemm_packed(t, 21);
+      const auto c1 = run_gemm(t, 21);
       parallel::set_thread_count(3);
-      const auto c3 = run_gemm_packed(t, 21);
+      const auto c3 = run_gemm(t, 21);
       EXPECT_EQ(std::memcmp(c1.data(), c3.data(), c1.size() * sizeof(float)),
                 0)
           << simd::isa_name(isa) << " m=" << t.m << " n=" << t.n
@@ -252,10 +250,10 @@ TEST_F(SimdTest, GemmAvx2MatchesNaiveWithinTolerance) {
     const auto b = random_vec((t.tb ? t.n : t.k) * ldb, 32);
     auto c_ref = random_vec(t.m * t.n, 33);
     auto c_vec = c_ref;
-    gemm::gemm_naive(t.m, t.n, t.k, a.data(), lda, t.ta, b.data(), ldb, t.tb,
-                     c_ref.data(), t.n, t.beta);
-    gemm::gemm_packed(t.m, t.n, t.k, a.data(), lda, t.ta, b.data(), ldb, t.tb,
-                      c_vec.data(), t.n, t.beta);
+    oracle::gemm(t.m, t.n, t.k, a.data(), lda, t.ta, b.data(), ldb, t.tb,
+                 c_ref.data(), t.n, t.beta);
+    gemm::gemm(t.m, t.n, t.k, a.data(), lda, t.ta, b.data(), ldb, t.tb,
+               c_vec.data(), t.n, t.beta);
     const float tol =
         1e-5f * static_cast<float>(t.k) + 1e-5f;
     for (std::size_t i = 0; i < c_ref.size(); ++i)
@@ -274,8 +272,8 @@ TEST_F(SimdTest, GemmAvx2StridedOutputLeavesGuardColumnsUntouched) {
   const auto a = random_vec(m * k, 41);
   const auto b = random_vec(k * n, 42);
   std::vector<float> c(static_cast<std::size_t>(m * ldc), 12345.0f);
-  gemm::gemm_packed(m, n, k, a.data(), k, false, b.data(), n, false, c.data(),
-                    ldc, 0.0f);
+  gemm::gemm(m, n, k, a.data(), k, false, b.data(), n, false, c.data(), ldc,
+             0.0f);
   for (std::int64_t r = 0; r < m; ++r)
     for (std::int64_t j = n; j < ldc; ++j)
       ASSERT_EQ(c[static_cast<std::size_t>(r * ldc + j)], 12345.0f)

@@ -426,9 +426,6 @@ void dump_obs(const ObsConfig& cfg) {
   if (obs::write_metrics_csv_file(cfg.metrics_path)) {
     SDMPEB_LOG(obs::LogLevel::kInfo) << "metrics: " << cfg.metrics_path;
   }
-  std::ostringstream json;
-  obs::write_metrics_json(json);
-  std::printf("%s\n", json.str().c_str());
 }
 
 }  // namespace
