@@ -15,13 +15,40 @@ void PayloadWriter::bytes(const void* data, std::size_t size) {
 }
 
 void PayloadReader::bytes(void* out, std::size_t size) {
-  SDMPEB_CHECK_MSG(pos_ + size <= payload_.size(),
+  SDMPEB_CHECK_MSG(size <= remaining(),
                    "truncated payload in " << path_ << " (need " << size
                                            << " bytes at offset " << pos_
                                            << ", have " << remaining()
                                            << ")");
+  if (size == 0) return;  // an empty tensor has no buffer to copy into
   std::memcpy(out, payload_.data() + pos_, size);
   pos_ += size;
+}
+
+void PayloadReader::expect_array(const std::vector<std::int64_t>& dims,
+                                 std::size_t elem_size) const {
+  bool empty = false;
+  for (const auto d : dims) {
+    SDMPEB_CHECK_MSG(d >= 0, path_ << ": negative array dimension " << d);
+    empty = empty || d == 0;
+  }
+  if (empty) return;
+  // Divide instead of multiplying, so lying dims cannot overflow the count:
+  // after each dim, `fits` bounds the product of the dims still to come.
+  std::uint64_t fits = remaining() / elem_size;
+  for (const auto d : dims) {
+    SDMPEB_CHECK_MSG(static_cast<std::uint64_t>(d) <= fits,
+                     "truncated payload in "
+                         << path_ << " (declared array dimension " << d
+                         << " of " << elem_size << "-byte elements exceeds the "
+                         << remaining() << " bytes left)");
+    fits /= static_cast<std::uint64_t>(d);
+  }
+}
+
+void PayloadReader::expect_end() const {
+  SDMPEB_CHECK_MSG(remaining() == 0, path_ << ": " << remaining()
+                                           << " trailing payload bytes");
 }
 
 void write_container(const std::string& path, const char magic[4],

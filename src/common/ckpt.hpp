@@ -57,6 +57,14 @@ class PayloadReader {
   void bytes(void* out, std::size_t size);
   std::int64_t i64() { return pod<std::int64_t>(); }
 
+  /// Throw unless an array with these dims of `elem_size`-byte elements
+  /// fits in the bytes left. Loaders call it before allocating what a file
+  /// declares.
+  void expect_array(const std::vector<std::int64_t>& dims,
+                    std::size_t elem_size) const;
+  /// Throw unless every payload byte has been read.
+  void expect_end() const;
+
   std::size_t remaining() const { return payload_.size() - pos_; }
   const std::string& path() const { return path_; }
 

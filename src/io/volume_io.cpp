@@ -35,9 +35,11 @@ Grid3 load_grid(const std::string& path) {
   SDMPEB_CHECK_MSG(depth > 0 && height > 0 && width > 0,
                    path << ": implausible grid dims " << depth << "x"
                         << height << "x" << width);
+  in.expect_array({depth, height, width}, sizeof(double));
   Grid3 grid(depth, height, width);
   in.bytes(grid.data().data(),
            static_cast<std::size_t>(grid.numel()) * sizeof(double));
+  in.expect_end();
   return grid;
 }
 
@@ -59,9 +61,11 @@ Tensor load_tensor(const std::string& path) {
   SDMPEB_CHECK_MSG(rank >= 0 && rank <= 8, "implausible rank " << rank);
   std::vector<std::int64_t> dims;
   for (std::int64_t axis = 0; axis < rank; ++axis) dims.push_back(in.i64());
+  in.expect_array(dims, sizeof(float));
   Tensor tensor{Shape(dims)};
   in.bytes(tensor.raw(),
            static_cast<std::size_t>(tensor.numel()) * sizeof(float));
+  in.expect_end();
   return tensor;
 }
 

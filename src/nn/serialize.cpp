@@ -66,6 +66,7 @@ void load_parameters(Module& module, const std::string& path) {
   auto container = ckpt::read_container(path, kParamMagic, kVersion,
                                         "parameter checkpoint");
   read_parameters_payload(container.payload, module.parameters());
+  container.payload.expect_end();
 }
 
 void save_train_state(const std::string& path, const Module& module,
@@ -139,15 +140,14 @@ TrainState load_train_state(const std::string& path, Module& module,
   state.nonfinite_skips = in.i64();
   state.nonfinite_retries = in.i64();
   const auto order_size = in.i64();
-  SDMPEB_CHECK_MSG(order_size >= 0 && order_size <= (std::int64_t{1} << 40),
-                   path << ": implausible shuffle order size " << order_size);
+  in.expect_array({order_size}, sizeof(std::int64_t));
   state.order.resize(static_cast<std::size_t>(order_size));
   for (auto& index : state.order) index = in.i64();
   const auto losses_size = in.i64();
-  SDMPEB_CHECK_MSG(losses_size >= 0 && losses_size <= (std::int64_t{1} << 40),
-                   path << ": implausible loss history size " << losses_size);
+  in.expect_array({losses_size}, sizeof(double));
   state.epoch_losses.resize(static_cast<std::size_t>(losses_size));
   for (auto& loss : state.epoch_losses) loss = in.pod<double>();
+  in.expect_end();
   SDMPEB_CHECK_MSG(state.epoch >= 0 && state.sample_cursor >= 0 &&
                        state.sample_cursor <= order_size,
                    path << ": corrupt trainer cursors (epoch " << state.epoch

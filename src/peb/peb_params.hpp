@@ -48,18 +48,6 @@ struct PebParams {
   DiffusionScheme scheme = DiffusionScheme::kImplicitLod;
   double explicit_safety = 0.8;  ///< fraction of the explicit CFL limit
 
-  // --- divergence guard (DESIGN.md §10) -----------------------------------
-  /// After every step the three fields are scanned for NaN/Inf or runaway
-  /// magnitude (concentrations are normalised O(1); anything above
-  /// divergence_threshold is numerically meaningless). A failed interval is
-  /// retried from the pre-step state with halved dt, doubling the substep
-  /// count up to 2^divergence_max_halvings, before giving up with a
-  /// descriptive Error. Disable to shave the per-step scan + snapshot off
-  /// hot benchmarking loops.
-  bool divergence_guard = true;
-  double divergence_threshold = 1e6;
-  std::int64_t divergence_max_halvings = 4;
-
   // --- grid geometry -------------------------------------------------------
   double dx_nm = 2.0;  ///< lateral spacing along W (x)
   double dy_nm = 2.0;  ///< lateral spacing along H (y)
@@ -91,7 +79,6 @@ struct PebParams {
     SDMPEB_CHECK(inhibitor0 > 0.0 && inhibitor0 <= 1.0);
     SDMPEB_CHECK(base0 >= 0.0);
     SDMPEB_CHECK(transfer_coeff_acid >= 0.0 && transfer_coeff_base >= 0.0);
-    SDMPEB_CHECK(divergence_threshold > 0.0 && divergence_max_halvings >= 0);
   }
 };
 

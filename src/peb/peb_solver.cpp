@@ -14,6 +14,30 @@
 
 namespace sdmpeb::peb {
 
+namespace {
+
+/// Divergence guard (DESIGN.md §10). Concentrations are normalised O(1), so
+/// a magnitude above kDivergenceThreshold is numerically meaningless; a
+/// failed interval is retried with up to 2^kDivergenceMaxHalvings substeps.
+constexpr double kDivergenceThreshold = 1e6;
+constexpr std::int64_t kDivergenceMaxHalvings = 4;
+
+/// True when all three fields are finite and within the runaway threshold.
+bool state_ok(const PebState& state) {
+  const auto field_ok = [](const Grid3& field) {
+    for (const double v : field.data()) {
+      // A single compare catches NaN (comparisons with NaN are false) and
+      // +/-Inf alongside genuine runaway magnitudes.
+      if (!(std::abs(v) <= kDivergenceThreshold)) return false;
+    }
+    return true;
+  };
+  return field_ok(state.acid) && field_ok(state.base) &&
+         field_ok(state.inhibitor);
+}
+
+}  // namespace
+
 PebSolver::PebSolver(PebParams params) : params_(params) {
   params_.validate();
 }
@@ -280,20 +304,6 @@ void PebSolver::advance(PebState& state, double dt) const {
   }
 }
 
-bool PebSolver::state_ok(const PebState& state) const {
-  const double limit = params_.divergence_threshold;
-  const auto field_ok = [limit](const Grid3& field) {
-    for (const double v : field.data()) {
-      // A single compare catches NaN (comparisons with NaN are false) and
-      // +/-Inf alongside genuine runaway magnitudes.
-      if (!(std::abs(v) <= limit)) return false;
-    }
-    return true;
-  };
-  return field_ok(state.acid) && field_ok(state.base) &&
-         field_ok(state.inhibitor);
-}
-
 void PebSolver::step(PebState& state) const {
   SDMPEB_SPAN("peb.step");
   if (obs::trace_enabled()) {
@@ -301,12 +311,6 @@ void PebSolver::step(PebState& state) const {
     steps.add(1);
   }
   const double dt = params_.dt_s;
-  if (!params_.divergence_guard) {
-    advance(state, dt);
-    state.time_s += dt;
-    return;
-  }
-
   const PebState snapshot = state;
   advance(state, dt);
   if (state_ok(state)) {
@@ -320,7 +324,7 @@ void PebSolver::step(PebState& state) const {
   // only triggers on injected faults or pathological parameter sets — but
   // when it does, retrying beats silently propagating NaNs into every
   // downstream consumer.
-  for (std::int64_t halving = 1; halving <= params_.divergence_max_halvings;
+  for (std::int64_t halving = 1; halving <= kDivergenceMaxHalvings;
        ++halving) {
     obs::counter("peb.divergence_retries").add(1);
     state = snapshot;
@@ -343,7 +347,7 @@ void PebSolver::step(PebState& state) const {
   throw Error(
       "PEB solver diverged (non-finite or runaway field) at t=" +
       std::to_string(state.time_s) + "s and did not recover after " +
-      std::to_string(params_.divergence_max_halvings) +
+      std::to_string(kDivergenceMaxHalvings) +
       " dt-halvings; check PebParams (dt_s, diffusion lengths, reaction "
       "coefficients) for an unstable combination");
 }

@@ -39,12 +39,11 @@ class PebSolver {
   /// inhibitor and base per Table I initial conditions.
   PebState initial_state(const Grid3& acid0) const;
 
-  /// Advance by one params().dt_s. With params().divergence_guard on (the
-  /// default) the result is scanned for non-finite or runaway fields; a
-  /// failed interval is retried from the pre-step state with halved dt
-  /// (doubling substeps up to 2^divergence_max_halvings) before an Error
-  /// describing the divergence is thrown. Recoveries are counted in the
-  /// metrics registry ("peb.divergence_retries").
+  /// Advance by one params().dt_s. The result is scanned for non-finite or
+  /// runaway fields; a failed interval is retried from the pre-step state
+  /// with repeatedly halved dt before an Error describing the divergence is
+  /// thrown (DESIGN.md §10). Recoveries are counted in the metrics registry
+  /// ("peb.divergence_retries").
   void step(PebState& state) const;
 
   /// Run the full bake: initial_state + ceil(duration / dt) steps.
@@ -53,10 +52,6 @@ class PebSolver {
  private:
   /// One Strang-split advance by dt (no guard, no time_s update).
   void advance(PebState& state, double dt) const;
-
-  /// True when all three fields are finite and within the runaway
-  /// threshold.
-  bool state_ok(const PebState& state) const;
 
   void reaction_half_step(PebState& state, double dt) const;
 

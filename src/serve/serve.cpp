@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
@@ -19,13 +20,14 @@ obs::Histogram& latency_histogram() {
   return h;
 }
 
-obs::Histogram& batch_histogram() {
-  static obs::Histogram& h =
-      obs::histogram("serve.batch_size", {1, 2, 4, 8, 16, 32, 64});
-  return h;
-}
-
 double ns_to_ms(std::uint64_t ns) { return static_cast<double>(ns) * 1e-6; }
+
+/// Overload state machine: degrade once depth / capacity stays at or above
+/// kOverloadHigh for kOverloadCycles consecutive dequeues; while degraded,
+/// shed the lowest priorities down to kOverloadLow; recover at kOverloadLow.
+constexpr double kOverloadHigh = 0.75;
+constexpr double kOverloadLow = 0.25;
+constexpr int kOverloadCycles = 3;
 
 }  // namespace
 
@@ -44,17 +46,8 @@ const char* status_name(Status status) {
 
 void ServeConfig::validate() const {
   SDMPEB_CHECK_MSG(queue_capacity > 0, "serve queue_capacity must be > 0");
-  SDMPEB_CHECK_MSG(max_batch > 0, "serve max_batch must be > 0");
-  SDMPEB_CHECK_MSG(max_wait_ms >= 0.0, "serve max_wait_ms must be >= 0");
   SDMPEB_CHECK_MSG(default_deadline_ms > 0.0,
                    "serve default_deadline_ms must be > 0");
-  SDMPEB_CHECK_MSG(overload_high_fraction > 0.0 &&
-                       overload_high_fraction <= 1.0,
-                   "serve overload_high_fraction must be in (0, 1]");
-  SDMPEB_CHECK_MSG(overload_low_fraction >= 0.0 &&
-                       overload_low_fraction < overload_high_fraction,
-                   "serve overload_low_fraction must be in [0, high)");
-  SDMPEB_CHECK_MSG(overload_cycles > 0, "serve overload_cycles must be > 0");
   SDMPEB_CHECK_MSG(fault_slow_infer_ms >= 0.0,
                    "serve fault_slow_infer_ms must be >= 0");
 }
@@ -138,28 +131,22 @@ Admission ServeRuntime::submit(Request req, ResponseFn done) {
   return {true, Status::kOk, ""};
 }
 
-std::uint64_t ServeRuntime::wait_budget_ns_locked() const {
-  const double budget_ms =
-      degraded_ ? config_.max_wait_ms * 0.5 : config_.max_wait_ms;
-  return static_cast<std::uint64_t>(budget_ms * 1e6);
-}
-
 std::vector<ServeRuntime::Pending> ServeRuntime::update_overload_locked() {
   static obs::Counter& degraded_ctr = obs::counter("serve.degraded_entries");
   std::vector<Pending> shed;
   const double capacity = static_cast<double>(config_.queue_capacity);
   const double frac = static_cast<double>(queue_.size()) / capacity;
-  if (frac >= config_.overload_high_fraction) {
-    if (++over_cycles_ >= config_.overload_cycles && !degraded_) {
+  if (frac >= kOverloadHigh) {
+    if (++over_cycles_ >= kOverloadCycles && !degraded_) {
       degraded_ = true;
       ++stats_.degraded_entries;
       degraded_ctr.add(1);
       SDMPEB_LOG(obs::LogLevel::kWarn)
           << "serve: sustained overload (depth " << queue_.size() << "/"
-          << config_.queue_capacity << "), degrading: wait budget halved, "
+          << config_.queue_capacity << "), degrading: "
           << "shedding low-priority work";
     }
-  } else if (frac <= config_.overload_low_fraction) {
+  } else if (frac <= kOverloadLow) {
     over_cycles_ = 0;
     if (degraded_) {
       degraded_ = false;
@@ -171,8 +158,7 @@ std::vector<ServeRuntime::Pending> ServeRuntime::update_overload_locked() {
   // Shed the lowest-priority queued requests down to the low watermark;
   // among equal priorities the youngest goes first (the oldest is closest
   // to service and has waited longest).
-  const auto target = static_cast<std::int64_t>(
-      config_.overload_low_fraction * capacity);
+  const auto target = static_cast<std::int64_t>(kOverloadLow * capacity);
   while (static_cast<std::int64_t>(queue_.size()) > target) {
     auto victim = queue_.begin();
     for (auto it = queue_.begin(); it != queue_.end(); ++it)
@@ -184,7 +170,7 @@ std::vector<ServeRuntime::Pending> ServeRuntime::update_overload_locked() {
 }
 
 void ServeRuntime::respond(Pending&& item, Status status, Tensor label,
-                           std::string error, std::int64_t batch_size) {
+                           std::string error) {
   static obs::Counter& completed_ctr = obs::counter("serve.completed");
   static obs::Counter& expired_ctr = obs::counter("serve.expired");
   static obs::Counter& shed_ctr = obs::counter("serve.shed");
@@ -202,7 +188,6 @@ void ServeRuntime::respond(Pending&& item, Status status, Tensor label,
   response.queue_ms = item.dequeue_ns > 0
                           ? ns_to_ms(item.dequeue_ns - item.enqueue_ns)
                           : response.total_ms;
-  response.batch_size = batch_size;
 
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -235,81 +220,52 @@ void ServeRuntime::respond(Pending&& item, Status status, Tensor label,
 
 void ServeRuntime::batcher_loop() {
   obs::set_thread_name("serve-batcher");
-  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    work_cv_.wait(lock, [&] { return draining_ || !queue_.empty(); });
-    if (queue_.empty()) break;  // draining and nothing left
-
-    // Batch formation: go when max_batch requests are waiting, the oldest
-    // has waited out the (possibly degraded) budget, or a drain begins.
-    while (!draining_ &&
-           static_cast<std::int64_t>(queue_.size()) < config_.max_batch) {
-      const std::uint64_t go_at =
-          queue_.front().enqueue_ns + wait_budget_ns_locked();
-      const std::uint64_t now = obs::now_ns();
-      if (now >= go_at) break;
-      work_cv_.wait_for(lock, std::chrono::nanoseconds(go_at - now));
-      if (queue_.empty()) break;  // spurious wake after a concurrent drain
+    std::vector<Pending> shed;
+    std::optional<Pending> item;
+    bool expired = false;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      work_cv_.wait(lock, [&] { return draining_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // draining and nothing left
+      // One request per cycle: the overload state machine sees the depth
+      // before each dequeue, then the oldest request left is taken.
+      shed = update_overload_locked();
+      if (!queue_.empty()) {
+        item.emplace(std::move(queue_.front()));
+        queue_.pop_front();
+        // The one deadline check: work that expired while queued is
+        // answered without touching the model.
+        const std::uint64_t now = obs::now_ns();
+        expired = now > item->deadline_ns;
+        if (!expired) {
+          item->dequeue_ns = now;
+          ++stats_.batches;
+        }
+      }
+      obs::gauge("serve.queue_depth").set(static_cast<double>(queue_.size()));
     }
-    if (queue_.empty()) continue;
-
-    auto shed = update_overload_locked();
-
-    std::vector<Pending> batch;
-    const std::uint64_t dequeue_ns = obs::now_ns();
-    while (!queue_.empty() &&
-           static_cast<std::int64_t>(batch.size()) < config_.max_batch) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
-    in_flight_ += static_cast<std::int64_t>(batch.size());
-    ++stats_.batches;
-    obs::gauge("serve.queue_depth")
-        .set(static_cast<double>(queue_.size()));
-    lock.unlock();
 
     for (auto& victim : shed)
       respond(std::move(victim), Status::kShed, Tensor(),
-              "shed by overload degradation", 0);
-
-    const auto batch_size = static_cast<std::int64_t>(batch.size());
-    batch_histogram().add(static_cast<double>(batch_size));
-    for (auto& item : batch) {
-      // Deadline check 1 (dequeue): work that expired while queued is shed
-      // without touching the model.
-      if (dequeue_ns > item.deadline_ns) {
-        respond(std::move(item), Status::kExpired, Tensor(),
-                "deadline expired while queued", batch_size);
-        continue;
-      }
-      if (fault::should_fire("serve.slow_infer")) {
-        std::this_thread::sleep_for(std::chrono::nanoseconds(
-            static_cast<std::uint64_t>(config_.fault_slow_infer_ms * 1e6)));
-      }
-      // Deadline check 2 (pre-forward): earlier items in this batch (or an
-      // injected stall) may have consumed the remaining budget.
-      if (obs::now_ns() > item.deadline_ns) {
-        respond(std::move(item), Status::kExpired, Tensor(),
-                "deadline expired while batched", batch_size);
-        continue;
-      }
-      item.dequeue_ns = dequeue_ns;
-      try {
-        Tensor label = model_.infer(item.req.acid);
-        respond(std::move(item), Status::kOk, std::move(label), "",
-                batch_size);
-      } catch (const Error& e) {
-        respond(std::move(item), Status::kError, Tensor(), e.what(),
-                batch_size);
-      }
+              "shed by overload degradation");
+    if (!item) continue;
+    if (expired) {
+      respond(std::move(*item), Status::kExpired, Tensor(),
+              "deadline expired while queued");
+      continue;
     }
-
-    lock.lock();
-    in_flight_ -= batch_size;
+    if (fault::should_fire("serve.slow_infer")) {
+      std::this_thread::sleep_for(std::chrono::nanoseconds(
+          static_cast<std::uint64_t>(config_.fault_slow_infer_ms * 1e6)));
+    }
+    try {
+      Tensor label = model_.infer(item->req.acid);
+      respond(std::move(*item), Status::kOk, std::move(label), "");
+    } catch (const Error& e) {
+      respond(std::move(*item), Status::kError, Tensor(), e.what());
+    }
   }
-  batcher_done_ = true;
-  lock.unlock();
-  drained_cv_.notify_all();
 }
 
 void ServeRuntime::drain() {
@@ -318,10 +274,6 @@ void ServeRuntime::drain() {
     draining_ = true;
   }
   work_cv_.notify_all();
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    drained_cv_.wait(lock, [&] { return batcher_done_; });
-  }
   if (batcher_.joinable()) batcher_.join();
 }
 

@@ -1,22 +1,27 @@
 // Error-path coverage: invalid shapes and arguments must be rejected with
 // sdmpeb::Error (never UB or silent misbehaviour). Includes the corrupted
 // checkpoint matrix for the v2 checksummed container format (DESIGN.md §10):
-// truncation at every boundary, bit-flips caught by CRC, v1 compatibility.
+// truncation at every boundary, bit-flips caught by CRC, v1 compatibility,
+// declared sizes the payload cannot hold, and seeded mutants of v1 files.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/ckpt.hpp"
 #include "common/error.hpp"
 #include "core/losses.hpp"
 #include "core/sdm_peb_model.hpp"
 #include "core/trainer.hpp"
 #include "io/volume_io.hpp"
+#include "mutate.hpp"
+#include "nn/layers.hpp"
 #include "nn/ops.hpp"
 #include "nn/optim.hpp"
 #include "nn/serialize.hpp"
@@ -225,6 +230,36 @@ class CorruptCheckpointTest : public ::testing::Test {
     return valid;
   }
 
+  /// A payload of i64 `words` followed by `data_bytes` zero bytes.
+  static std::string payload_of(const std::vector<std::int64_t>& words,
+                                std::size_t data_bytes) {
+    ckpt::PayloadWriter out;
+    for (const auto word : words) out.i64(word);
+    const std::string zeros(data_bytes, '\0');
+    out.bytes(zeros.data(), zeros.size());
+    return out.buffer();
+  }
+
+  /// Seeded mutants of the v1 file `v1`, loaded from and saved back to
+  /// files: see testing::expect_mutants_round_trip_or_throw. `fields` are
+  /// the file offsets of its declared sizes; the version is always added.
+  template <typename Load, typename Save>
+  void expect_v1_mutants_round_trip_or_throw(
+      const std::string& v1, std::vector<testing::SizeField> fields,
+      Load load, Save save) {
+    fields.push_back({4, 8});
+    testing::expect_mutants_round_trip_or_throw(
+        v1, fields, 1000,
+        [&](const std::string& mutant) {
+          spit(path("mutant"), mutant);
+          return load(path("mutant"));
+        },
+        [&](const auto& value) {
+          save(value, path("resaved"));
+          return as_v1(slurp(path("resaved")));
+        });
+  }
+
   std::filesystem::path dir_;
 };
 
@@ -368,6 +403,98 @@ TEST_F(CorruptCheckpointTest, TrainStateRejectsV1AndCorruptCursors) {
   spit(path("s_flip.state"), flipped);
   EXPECT_THROW(nn::load_train_state(path("s_flip.state"), model, optimizer),
                Error);
+}
+
+// Declared sizes are checked against the bytes left before anything is
+// allocated: a lying header throws sdmpeb::Error, never std::bad_alloc,
+// and a product that overflows cannot pass as an empty array.
+
+TEST_F(CorruptCheckpointTest, GridDeclaringHugeDimsIsRejected) {
+  // A valid CRC proves the bytes are intact, not that the dims are honest;
+  // a v1 file carries no CRC at all.
+  constexpr std::int64_t kDim = 100000;
+  ckpt::write_container(path("huge.sdmv"), "SDMV", 2,
+                        payload_of({kDim, kDim, kDim}, 64));
+  EXPECT_THROW(io::load_grid(path("huge.sdmv")), Error);
+  spit(path("huge_v1.sdmv"), as_v1(slurp(path("huge.sdmv"))));
+  EXPECT_THROW(io::load_grid(path("huge_v1.sdmv")), Error);
+}
+
+TEST_F(CorruptCheckpointTest, GridWhoseDimsOverflowIsRejected) {
+  // 2^40 * 2^40 * 16 wraps to 0 in 64 bits.
+  constexpr std::int64_t kDim = std::int64_t{1} << 40;
+  ckpt::write_container(path("wrap.sdmv"), "SDMV", 2,
+                        payload_of({kDim, kDim, 16}, 64));
+  EXPECT_THROW(io::load_grid(path("wrap.sdmv")), Error);
+}
+
+TEST_F(CorruptCheckpointTest, TensorDeclaringHugeDimsIsRejected) {
+  constexpr std::int64_t kDim = std::int64_t{1} << 20;
+  ckpt::write_container(path("huge.sdmt"), "SDMT", 2,
+                        payload_of({2, kDim, kDim}, 64));
+  EXPECT_THROW(io::load_tensor(path("huge.sdmt")), Error);
+}
+
+TEST_F(CorruptCheckpointTest, TrainStateDeclaringHugeOrderIsRejected) {
+  Rng rng(10);
+  nn::Linear module(3, 2, rng);
+  nn::Adam optimizer(module.parameters(), nn::Adam::Options{});
+  nn::save_train_state(path("s.state"), module, optimizer, nn::TrainState{});
+  // With no shuffle order and no loss history the payload ends in the two
+  // counts: [order size i64][loss history size i64]. Declare 2^40 entries.
+  const std::string bytes = slurp(path("s.state"));
+  constexpr std::size_t kHeader = 4 + 8 + 8;
+  std::string payload = bytes.substr(kHeader, bytes.size() - kHeader - 4);
+  const std::int64_t order_size = std::int64_t{1} << 40;
+  std::memcpy(payload.data() + payload.size() - 16, &order_size,
+              sizeof(order_size));
+  ckpt::write_container(path("huge.state"), "SDMS", 2, payload);
+  EXPECT_THROW(nn::load_train_state(path("huge.state"), module, optimizer),
+               Error);
+}
+
+TEST_F(CorruptCheckpointTest, SeededV1MutantsRoundTripOrThrow) {
+  // Byte flips, truncations, trailing bytes and lying sizes over v1 grid,
+  // tensor and parameter files. v1 offsets: magic 0, version 4, payload 12.
+  Grid3 grid(2, 3, 4, 0.5);
+  io::save_grid(grid, path("grid.sdmv"));
+  expect_v1_mutants_round_trip_or_throw(
+      as_v1(slurp(path("grid.sdmv"))), {{12, 8}, {20, 8}, {28, 8}},
+      [](const std::string& file) { return io::load_grid(file); },
+      [](const Grid3& loaded, const std::string& file) {
+        io::save_grid(loaded, file);
+      });
+
+  Rng rng(12);
+  io::save_tensor(Tensor::normal(Shape{3, 4}, rng), path("t.sdmt"));
+  expect_v1_mutants_round_trip_or_throw(
+      as_v1(slurp(path("t.sdmt"))), {{12, 8}, {20, 8}, {28, 8}},
+      [](const std::string& file) { return io::load_tensor(file); },
+      [](const Tensor& loaded, const std::string& file) {
+        io::save_tensor(loaded, file);
+      });
+
+  // Parameters: a count, then per tensor its rank, dims and data.
+  nn::Linear module(3, 2, rng);
+  nn::save_parameters(module, path("m.sdmp"));
+  std::vector<testing::SizeField> fields = {{12, 8}};
+  std::size_t offset = 20;
+  for (const auto& p : module.parameters()) {
+    const Tensor& t = p->value();
+    for (std::size_t axis = 0; axis <= t.rank(); ++axis)
+      fields.push_back({offset + 8 * axis, 8});
+    offset += 8 * (1 + t.rank()) +
+              static_cast<std::size_t>(t.numel()) * sizeof(float);
+  }
+  expect_v1_mutants_round_trip_or_throw(
+      as_v1(slurp(path("m.sdmp"))), fields,
+      [&](const std::string& file) {
+        nn::load_parameters(module, file);
+        return true;
+      },
+      [&](bool, const std::string& file) {
+        nn::save_parameters(module, file);
+      });
 }
 
 TEST_F(CorruptCheckpointTest, ServeFrozenModelRejectsCorruptArtifactsAtStartup) {

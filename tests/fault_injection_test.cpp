@@ -161,7 +161,6 @@ TEST_F(FaultInjectionTest, PebDivergenceGuardGivesUpUnderPersistentFault) {
   peb::PebParams params;
   params.duration_s = 0.5;
   params.dt_s = 0.5;
-  params.divergence_max_halvings = 6;
   peb::PebSolver solver(params);
   Grid3 acid0(4, 8, 8, 0.5);
   auto state = solver.initial_state(acid0);

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "arena_check.hpp"
 #include "common/arena.hpp"
 #include "common/gemm.hpp"
 #include "common/parallel.hpp"
@@ -19,6 +20,7 @@ namespace {
 namespace nnops = nn::ops;
 using nn::Value;
 using sdmpeb::testing::expect_gradients_match;
+using sdmpeb::testing::expect_steady_state_no_alloc;
 
 /// Restores thread count and kernel backend after each test so ordering
 /// cannot leak state. The kernel backend is pinned to scalar for the
@@ -252,27 +254,6 @@ TEST_F(GemmTest, GradCheckConv3dIm2col) {
 // Arena reuse: after a warm-up pass sizes the thread-local arenas, repeated
 // identical training steps must not allocate any new backing blocks.
 // ---------------------------------------------------------------------------
-
-/// Run `step` repeatedly and require the global heap-block count to stop
-/// growing. Chunk-to-thread assignment is scheduling-dependent, so a pool
-/// worker's arena may stay cold for an arbitrary number of repeats and then
-/// allocate its first block late — that is warm-up, not a leak. The leak
-/// signature is growth proportional to the iteration count, so instead of
-/// demanding a fixed quiet window we bound the number of growth EVENTS: a
-/// few per participating thread for warm-up, versus ~kSteps for a
-/// per-iteration leak.
-void expect_steady_state_no_alloc(const std::function<void()>& step) {
-  constexpr int kSteps = 200;
-  auto blocks = WorkspaceArena::total_heap_blocks();
-  int growth_events = 0;
-  for (int i = 0; i < kSteps; ++i) {
-    step();
-    const auto now = WorkspaceArena::total_heap_blocks();
-    if (now != blocks) ++growth_events;
-    blocks = now;
-  }
-  EXPECT_LE(growth_events, 8) << "arena keeps allocating in steady state";
-}
 
 TEST_F(GemmTest, ArenaStopsAllocatingAfterWarmup) {
   parallel::set_thread_count(2);

@@ -64,8 +64,6 @@ TEST(ServeSoak, OpenLoopOverloadWithAllFaultSitesArmed) {
 
   serve::ServeConfig config;
   config.queue_capacity = 32;
-  config.max_batch = 4;
-  config.max_wait_ms = 2.0;
   config.default_deadline_ms = 200.0;
   config.fault_slow_infer_ms = 5.0;
   serve::ServeRuntime runtime(model, config);

@@ -9,7 +9,7 @@
 //   sdmpeb_cli evaluate  [--clips N] [--seed S] --model M --ckpt CKPT
 //       evaluate a checkpoint on the held-out split (Table II columns)
 //   sdmpeb_cli serve     --model M --ckpt CKPT [--shape DxHxW] [--queue N]
-//                        [--max-batch B] [--max-wait-ms W] [--deadline-ms D]
+//                        [--deadline-ms D]
 //       serve a frozen checkpoint over a length-prefixed stdin/stdout
 //       protocol (serve/protocol.hpp); SIGINT/SIGTERM drains and exits
 //
@@ -247,8 +247,6 @@ int cmd_serve(const CliArgs& args) {
                            ckpt, parse_shape(args.get("shape", "16x64x64")));
   serve::ServeConfig config;
   config.queue_capacity = args.get_int("queue", 64);
-  config.max_batch = args.get_int("max-batch", 8);
-  config.max_wait_ms = std::atof(args.get("max-wait-ms", "5").c_str());
   config.default_deadline_ms =
       std::atof(args.get("deadline-ms", "1000").c_str());
   serve::ServeRuntime runtime(model, config);
@@ -359,7 +357,7 @@ void print_usage() {
       "injection\n"
       "  evaluate: --model M --ckpt CKPT\n"
       "  serve:    --model M --ckpt CKPT --shape DxHxW (default 16x64x64)\n"
-      "            --queue N --max-batch B --max-wait-ms W --deadline-ms D\n"
+      "            --queue N --deadline-ms D\n"
       "            length-prefixed request/response frames on stdin/stdout\n"
       "            (serve/protocol.hpp); overload rejects with a reason and\n"
       "            sheds low-priority work; SIGINT/SIGTERM drains then "
