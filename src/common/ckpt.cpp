@@ -98,10 +98,14 @@ Container read_container(const std::string& path, const char magic[4],
   SDMPEB_CHECK_MSG(payload_size >= 0,
                    path << ": corrupt " << kind << " (negative payload size)");
   const auto size = static_cast<std::size_t>(payload_size);
+  const std::size_t end = offset + size + sizeof(std::uint32_t);
   SDMPEB_CHECK_MSG(
-      file.size() >= offset + size + sizeof(std::uint32_t),
+      file.size() >= end,
       path << ": truncated " << kind << " (declared payload " << size
            << " bytes, file holds " << (file.size() - offset) << ")");
+  SDMPEB_CHECK_MSG(file.size() == end,
+                   path << ": corrupt " << kind << " (" << (file.size() - end)
+                        << " trailing bytes after the CRC)");
 
   std::uint32_t stored_crc = 0;
   std::memcpy(&stored_crc, file.data() + offset + size, sizeof(stored_crc));

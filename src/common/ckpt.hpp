@@ -1,14 +1,15 @@
 #pragma once
 
 // Shared container framing for the binary checkpoint formats
-// (SDMP parameters, SDMV grids, SDMT tensors, SDMS train state).
+// (SDMP parameters, SDMV grids, SDMS train state).
 //
 // v2 wire format (DESIGN.md §10):
 //
 //   [magic 4B][version i64][payload_size i64][payload][crc32 u32]
 //
 // The CRC covers the payload bytes; payload_size makes truncation at any
-// boundary detectable without relying on the parser running off the end.
+// boundary detectable without relying on the parser running off the end,
+// and the file must end at the CRC.
 // v1 files ([magic][version][payload]) are still readable: the reader hands
 // back the remaining bytes unverified and the per-format parsers apply the
 // same section-level truncation checks they always had.

@@ -6,7 +6,7 @@
 namespace sdmpeb {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum used
-/// by the v2 binary checkpoint formats (SDMP/SDMV/SDMT/SDMS) to reject
+/// by the v2 binary checkpoint formats (SDMP/SDMV/SDMS) to reject
 /// bit-flipped or truncated payloads before they are interpreted. Table
 /// driven, byte at a time: plenty fast for checkpoint-sized buffers and
 /// trivially portable.

@@ -147,11 +147,6 @@ void set_perf_spans_enabled(bool on) {
   detail::g_perf_on.store(on, std::memory_order_relaxed);
 }
 
-bool chunk_spans_enabled() {
-  static const bool enabled = env_flag("SDMPEB_TRACE_CHUNKS");
-  return enabled;
-}
-
 // ---------------------------------------------------------------------------
 // Spans
 // ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@
 //
 // Environment:
 //   SDMPEB_TRACE=1           enable span + metric recording
-//   SDMPEB_TRACE_CHUNKS=1    also record one span per worker-pool chunk
 //   SDMPEB_TRACE_CAPACITY=N  per-thread span buffer capacity (default 65536)
 //   SDMPEB_PERF=1|hw|sw      annotate spans with perf_event counter deltas
 //                            (common/perfmon.hpp; degrades to wall-clock
@@ -69,11 +68,6 @@ inline bool perf_spans_enabled() {
 
 /// Override the SDMPEB_PERF resolution (CLI --perf flag, tests).
 void set_perf_spans_enabled(bool on);
-
-/// Whether per-chunk worker-pool spans are recorded (SDMPEB_TRACE_CHUNKS).
-/// Off by default even under SDMPEB_TRACE=1: a rigorous PEB run dispatches
-/// hundreds of thousands of chunks and would saturate the rings instantly.
-bool chunk_spans_enabled();
 
 // ---------------------------------------------------------------------------
 // Spans

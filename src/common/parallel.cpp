@@ -151,12 +151,7 @@ class Pool {
       const auto c = next_chunk_.fetch_add(1, std::memory_order_relaxed);
       if (c >= total_chunks_) break;
       try {
-        if (obs::trace_enabled() && obs::chunk_spans_enabled()) {
-          SDMPEB_SPAN("pool.chunk", "chunk", c);
-          (*job)(c);
-        } else {
-          (*job)(c);
-        }
+        (*job)(c);
       } catch (...) {
         std::lock_guard<std::mutex> lock(mutex_);
         if (!pending_exception_)

@@ -5,44 +5,17 @@
 namespace sdmpeb {
 
 /// Monotonic wall-clock stopwatch used by the benchmark harnesses to report
-/// per-phase runtimes, and by span aggregation in the observability layer.
-///
-/// The timer starts running at construction. pause() banks the elapsed time
-/// so far into an accumulator and stops the clock; resume() restarts it.
-/// seconds() always reports the accumulated total plus the live interval
-/// when running — so pause/resume interleavings measure only the intervals
-/// the timer was live.
+/// per-phase runtimes. It starts at construction; reset() restarts it.
 class Timer {
  public:
   Timer() : start_(Clock::now()) {}
 
-  /// Restart from zero: drops accumulated time and resumes running.
-  void reset() {
-    accumulated_s_ = 0.0;
-    running_ = true;
-    start_ = Clock::now();
-  }
+  /// Restart from zero.
+  void reset() { start_ = Clock::now(); }
 
-  /// Bank elapsed time and stop the clock. No-op when already paused.
-  void pause() {
-    if (!running_) return;
-    accumulated_s_ += live_seconds();
-    running_ = false;
-  }
-
-  /// Restart the clock after a pause(). No-op when already running.
-  void resume() {
-    if (running_) return;
-    running_ = true;
-    start_ = Clock::now();
-  }
-
-  bool running() const { return running_; }
-
-  /// Elapsed seconds over every interval the timer was running since
-  /// construction or the last reset().
+  /// Elapsed seconds since construction or the last reset().
   double seconds() const {
-    return accumulated_s_ + (running_ ? live_seconds() : 0.0);
+    return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
   double milliseconds() const { return seconds() * 1e3; }
@@ -50,13 +23,7 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
 
-  double live_seconds() const {
-    return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
-
   Clock::time_point start_;
-  double accumulated_s_ = 0.0;
-  bool running_ = true;
 };
 
 }  // namespace sdmpeb

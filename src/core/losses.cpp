@@ -6,6 +6,16 @@ namespace sdmpeb::core {
 
 namespace nnops = nn::ops;
 
+namespace {
+
+/// Eq. 22's empirical weights and the focal / divergence shape parameters.
+constexpr float kFocalWeight = 1.0f;       // alpha
+constexpr float kDivergenceWeight = 0.1f;  // beta
+constexpr float kFocalGamma = 1.0f;        // gamma, Eq. 17
+constexpr float kDivergenceTau = 0.1f;     // tau, Eqs. 19-21
+
+}  // namespace
+
 nn::Value max_se_loss(const nn::Value& pred, const nn::Value& target) {
   return nnops::max_all(nnops::square(nnops::sub(pred, target)));
 }
@@ -51,14 +61,14 @@ nn::Value depth_divergence_loss(const nn::Value& pred,
 nn::Value combined_loss(const nn::Value& pred, const nn::Value& target,
                         const LossConfig& config) {
   nn::Value loss = max_se_loss(pred, target);
-  if (config.use_focal && config.alpha != 0.0f)
+  if (config.use_focal)
     loss = nnops::add(loss, nnops::mul_scalar(peb_focal_loss(
-                                 pred, target, config.focal_gamma),
-                             config.alpha));
-  if (config.use_divergence && config.beta != 0.0f)
+                                 pred, target, kFocalGamma),
+                             kFocalWeight));
+  if (config.use_divergence)
     loss = nnops::add(loss, nnops::mul_scalar(depth_divergence_loss(
-                                 pred, target, config.divergence_tau),
-                             config.beta));
+                                 pred, target, kDivergenceTau),
+                             kDivergenceWeight));
   return loss;
 }
 

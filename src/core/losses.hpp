@@ -6,13 +6,10 @@ namespace sdmpeb::core {
 
 /// Configuration of the paper's composite training objective (Eq. 22):
 ///   L = L_MaxSE + alpha * L_PEB-FL + beta * L_Div
-/// with the empirical values alpha = 1.0, beta = 0.1, gamma = 1, tau = 0.1.
-/// The two boolean switches implement the Table III ablations.
+/// at the paper's empirical values alpha = 1.0, beta = 0.1, gamma = 1 and
+/// tau = 0.1 (constants in losses.cpp). The two switches implement the
+/// Table III ablations.
 struct LossConfig {
-  float alpha = 1.0f;
-  float beta = 0.1f;
-  float focal_gamma = 1.0f;
-  float divergence_tau = 0.1f;
   bool use_focal = true;        ///< 'w/o. Focal Loss' ablation when false
   bool use_divergence = true;   ///< 'w/o. Regularization' ablation when false
 };

@@ -17,6 +17,12 @@ namespace nnops = nn::ops;
 
 namespace {
 
+/// Non-finite recovery (see train_model): each retry of a poisoned window
+/// scales the learning rate by kNonfiniteLrBackoff, at most
+/// kMaxNonfiniteRetries times before the window is skipped.
+constexpr float kNonfiniteLrBackoff = 0.5f;
+constexpr std::int64_t kMaxNonfiniteRetries = 3;
+
 /// Forward/backward one sample, accumulating its gradient and returning the
 /// unscaled loss contribution. The loss tensor is checked for finiteness
 /// before it is trusted.
@@ -53,14 +59,10 @@ double train_model(PebNet& model, std::span<const TrainSample> data,
                    const TrainConfig& config, Rng& rng) {
   SDMPEB_CHECK(!data.empty());
   SDMPEB_CHECK(config.epochs >= 1 && config.accumulation >= 1);
-  SDMPEB_CHECK(config.max_nonfinite_retries >= 0);
-  SDMPEB_CHECK(config.nonfinite_lr_backoff > 0.0f &&
-               config.nonfinite_lr_backoff <= 1.0f);
 
   nn::Adam::Options adam_options;
   adam_options.lr = config.lr0;
   adam_options.grad_clip_norm = config.grad_clip_norm;
-  adam_options.weight_decay = config.weight_decay;
   nn::Adam optimizer(model.parameters(), adam_options);
   const nn::StepDecaySchedule schedule(config.lr0, config.lr_step,
                                        config.lr_gamma);
@@ -169,16 +171,16 @@ double train_model(PebNet& model, std::span<const TrainSample> data,
         // were never touched) and decide between retry and skip.
         epoch_loss = epoch_loss_base;
         model.zero_grad();
-        if (attempts++ < config.max_nonfinite_retries) {
+        if (attempts++ < kMaxNonfiniteRetries) {
           ++state.nonfinite_retries;
           obs::counter("train.nonfinite_retries").add(1);
-          state.lr_scale *= config.nonfinite_lr_backoff;
+          state.lr_scale *= kNonfiniteLrBackoff;
           optimizer.set_lr(schedule.lr_at(epoch) *
                            static_cast<float>(state.lr_scale));
           SDMPEB_LOG(obs::LogLevel::kWarn)
               << "[" << model.name() << "] non-finite loss/gradient in epoch "
               << epoch << " window at sample " << cursor << "; retry "
-              << attempts << "/" << config.max_nonfinite_retries
+              << attempts << "/" << kMaxNonfiniteRetries
               << " with lr scale " << state.lr_scale;
           continue;
         }

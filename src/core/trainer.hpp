@@ -28,7 +28,6 @@ struct TrainConfig {
   std::int64_t lr_step = 100;
   float lr_gamma = 0.7f;
   float grad_clip_norm = 1.0f;
-  float weight_decay = 0.0f;
   LossConfig loss;
   bool verbose = false;
 
@@ -52,17 +51,6 @@ struct TrainConfig {
   /// checkpoint and returns early.
   const std::atomic<bool>* stop_flag = nullptr;
 
-  // --- numerical-failure recovery ----------------------------------------
-  /// When a loss or gradient goes non-finite, the poisoned accumulation
-  /// window is abandoned (weights were never touched — non-finite updates
-  /// are rejected before application) and retried with the learning rate
-  /// scaled down by this factor, up to max_nonfinite_retries times; after
-  /// that the window is skipped for good and training moves on. Retries and
-  /// skips are recorded in the metrics registry ("train.nonfinite_retries",
-  /// "train.nonfinite_skips").
-  float nonfinite_lr_backoff = 0.5f;
-  std::int64_t max_nonfinite_retries = 3;
-
   // --- optional outputs ---------------------------------------------------
   /// When set, receives the mean loss of every completed epoch.
   std::vector<double>* epoch_losses = nullptr;
@@ -75,6 +63,13 @@ struct TrainConfig {
 /// Deterministic for a fixed rng state (it drives the per-epoch shuffle).
 /// With checkpointing configured, the run can be killed at any step
 /// boundary and resumed bit-exactly via TrainConfig::resume_from.
+///
+/// When a loss or gradient goes non-finite, the poisoned accumulation
+/// window is abandoned (weights were never touched: non-finite updates are
+/// rejected before application) and retried with the learning rate halved,
+/// up to 3 times; after that the window is skipped for good and training
+/// moves on. Retries and skips are recorded in the metrics registry
+/// ("train.nonfinite_retries", "train.nonfinite_skips").
 double train_model(PebNet& model, std::span<const TrainSample> data,
                    const TrainConfig& config, Rng& rng);
 

@@ -1,5 +1,6 @@
 #include "eval/dataset.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -39,7 +40,10 @@ DatasetConfig DatasetConfig::small() {
 }
 
 void DatasetConfig::validate() const {
-  SDMPEB_CHECK(clip_count >= 2);
+  SDMPEB_CHECK_MSG(clip_count >= 2,
+                   "a dataset needs at least 2 clips (one to train on, one "
+                   "to test on), got "
+                       << clip_count);
   SDMPEB_CHECK(train_fraction > 0.0 && train_fraction < 1.0);
   SDMPEB_CHECK_MSG(std::abs(mask.pixel_nm - peb.dx_nm) < 1e-9 &&
                        std::abs(mask.pixel_nm - peb.dy_nm) < 1e-9,
@@ -67,9 +71,12 @@ Dataset build_dataset(const DatasetConfig& config) {
       litho::generate_clips(config.mask, config.clip_count, config.seed);
   const peb::PebSolver solver(config.peb);
 
-  const auto train_count = static_cast<std::size_t>(
-      std::lround(config.train_fraction * static_cast<double>(clips.size())));
-  SDMPEB_CHECK(train_count >= 1 && train_count < clips.size());
+  // Rounding can leave a side empty (0.75 of 2 clips rounds to 2): keep at
+  // least one clip on each side of the split.
+  const auto train_count = std::clamp<std::size_t>(
+      static_cast<std::size_t>(std::lround(
+          config.train_fraction * static_cast<double>(clips.size()))),
+      1, clips.size() - 1);
 
   for (std::size_t i = 0; i < clips.size(); ++i) {
     ClipSample sample;

@@ -95,17 +95,4 @@ void fft3(std::vector<Complex>& grid, std::int64_t depth, std::int64_t height,
       });
 }
 
-void fft2(std::vector<Complex>& grid, std::int64_t height, std::int64_t width,
-          bool inverse) {
-  SDMPEB_CHECK(static_cast<std::int64_t>(grid.size()) == height * width);
-  parallel::parallel_for(0, height, 8, [&](std::int64_t h0, std::int64_t h1) {
-    for (std::int64_t h = h0; h < h1; ++h)
-      fft_strided(grid.data() + h * width, width, 1, inverse);
-  });
-  parallel::parallel_for(0, width, 8, [&](std::int64_t w0, std::int64_t w1) {
-    for (std::int64_t w = w0; w < w1; ++w)
-      fft_strided(grid.data() + w, height, width, inverse);
-  });
-}
-
 }  // namespace sdmpeb::fft

@@ -26,8 +26,4 @@ void fft_strided(Complex* base, std::int64_t count, std::int64_t stride,
 void fft3(std::vector<Complex>& grid, std::int64_t depth, std::int64_t height,
           std::int64_t width, bool inverse);
 
-/// 2-D FFT over a dense row-major (H, W) complex grid.
-void fft2(std::vector<Complex>& grid, std::int64_t height, std::int64_t width,
-          bool inverse);
-
 }  // namespace sdmpeb::fft

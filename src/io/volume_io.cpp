@@ -1,7 +1,5 @@
 #include "io/volume_io.hpp"
 
-#include <vector>
-
 #include "common/ckpt.hpp"
 #include "common/error.hpp"
 
@@ -10,7 +8,6 @@ namespace sdmpeb::io {
 namespace {
 
 constexpr char kGridMagic[4] = {'S', 'D', 'M', 'V'};
-constexpr char kTensorMagic[4] = {'S', 'D', 'M', 'T'};
 constexpr std::int64_t kVersion = 2;
 
 }  // namespace
@@ -41,32 +38,6 @@ Grid3 load_grid(const std::string& path) {
            static_cast<std::size_t>(grid.numel()) * sizeof(double));
   in.expect_end();
   return grid;
-}
-
-void save_tensor(const Tensor& tensor, const std::string& path) {
-  ckpt::PayloadWriter payload;
-  payload.i64(static_cast<std::int64_t>(tensor.rank()));
-  for (std::size_t axis = 0; axis < tensor.rank(); ++axis)
-    payload.i64(tensor.dim(axis));
-  payload.bytes(tensor.raw(),
-                static_cast<std::size_t>(tensor.numel()) * sizeof(float));
-  ckpt::write_container(path, kTensorMagic, kVersion, payload.buffer());
-}
-
-Tensor load_tensor(const std::string& path) {
-  auto container =
-      ckpt::read_container(path, kTensorMagic, kVersion, "tensor file");
-  auto& in = container.payload;
-  const auto rank = in.i64();
-  SDMPEB_CHECK_MSG(rank >= 0 && rank <= 8, "implausible rank " << rank);
-  std::vector<std::int64_t> dims;
-  for (std::int64_t axis = 0; axis < rank; ++axis) dims.push_back(in.i64());
-  in.expect_array(dims, sizeof(float));
-  Tensor tensor{Shape(dims)};
-  in.bytes(tensor.raw(),
-           static_cast<std::size_t>(tensor.numel()) * sizeof(float));
-  in.expect_end();
-  return tensor;
 }
 
 }  // namespace sdmpeb::io

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "tensor/grid3.hpp"
-#include "tensor/tensor.hpp"
 
 namespace sdmpeb::io {
 
@@ -14,9 +13,5 @@ namespace sdmpeb::io {
 /// pre-checksum v1 files too.
 void save_grid(const Grid3& grid, const std::string& path);
 Grid3 load_grid(const std::string& path);
-
-/// Same container for float tensors of arbitrary rank (magic "SDMT").
-void save_tensor(const Tensor& tensor, const std::string& path);
-Tensor load_tensor(const std::string& path);
 
 }  // namespace sdmpeb::io

@@ -7,16 +7,6 @@
 
 namespace sdmpeb::peb {
 
-/// Diffusion integrator choice. The implicit locally-one-dimensional scheme
-/// (Thomas solves per line) is unconditionally stable at Table I's
-/// dt = 0.1 s; the explicit scheme is the classical 7-point forward-Euler
-/// stencil of the 1990s PEB literature [16]–[18], automatically substepped
-/// to its stability limit — kept as a cross-validation ablation.
-enum class DiffusionScheme {
-  kImplicitLod,
-  kExplicitSubstepped,
-};
-
 /// Physical and numerical parameters of the PEB reaction–diffusion system
 /// (Eqs. 1–4). Defaults reproduce the paper's Table I exactly. Diffusion is
 /// anisotropic: the normal (z) and lateral (x-y) diffusion lengths differ,
@@ -45,8 +35,6 @@ struct PebParams {
   double base0 = 0.4;                      ///< [B](t = 0)
   double dt_s = 0.1;                       ///< baseline time step
   double duration_s = 90.0;                ///< bake duration
-  DiffusionScheme scheme = DiffusionScheme::kImplicitLod;
-  double explicit_safety = 0.8;  ///< fraction of the explicit CFL limit
 
   // --- grid geometry -------------------------------------------------------
   double dx_nm = 2.0;  ///< lateral spacing along W (x)

@@ -210,75 +210,7 @@ void PebSolver::diffuse_axis(Grid3& field, int axis, double diff_coeff,
       });
 }
 
-void PebSolver::diffuse_explicit(Grid3& field, double diff_z, double diff_xy,
-                                 double dt, double robin_h,
-                                 double saturation) const {
-  if (diff_z <= 0.0 && diff_xy <= 0.0) return;
-  const auto depth = field.depth();
-  const auto height = field.height();
-  const auto width = field.width();
-  const double dx2 = params_.dx_nm * params_.dx_nm;
-  const double dy2 = params_.dy_nm * params_.dy_nm;
-  const double dz2 = params_.dz_nm * params_.dz_nm;
-
-  // Anisotropic CFL limit: dt <= 1 / (2 (Dx/dx^2 + Dy/dy^2 + Dz/dz^2)).
-  const double rate_sum =
-      diff_xy / dx2 + diff_xy / dy2 + diff_z / dz2;
-  const double dt_stable = params_.explicit_safety / (2.0 * rate_sum);
-  const auto substeps = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::ceil(dt / dt_stable)));
-  const double dt_sub = dt / static_cast<double>(substeps);
-
-  SDMPEB_SPAN("peb.diffuse_explicit", "substeps", substeps);
-  if (obs::trace_enabled()) {
-    static obs::Counter& count = obs::counter("peb.explicit_substeps");
-    count.add(static_cast<std::uint64_t>(substeps));
-  }
-
-  Grid3 next(depth, height, width);
-  for (std::int64_t step = 0; step < substeps; ++step) {
-    // Jacobi update: reads `field`, writes `next` — depth slabs are
-    // independent (halo reads are into the read-only source grid).
-    parallel::parallel_for(0, depth, 1, [&](std::int64_t d0, std::int64_t d1) {
-      for (std::int64_t d = d0; d < d1; ++d) {
-        for (std::int64_t h = 0; h < height; ++h) {
-          for (std::int64_t w = 0; w < width; ++w) {
-            const double center = field.at(d, h, w);
-            // Zero-flux boundaries: reflect the centre value at walls.
-            const double up = d > 0 ? field.at(d - 1, h, w) : center;
-            const double down =
-                d + 1 < depth ? field.at(d + 1, h, w) : center;
-            const double north = h > 0 ? field.at(d, h - 1, w) : center;
-            const double south =
-                h + 1 < height ? field.at(d, h + 1, w) : center;
-            const double west = w > 0 ? field.at(d, h, w - 1) : center;
-            const double east =
-                w + 1 < width ? field.at(d, h, w + 1) : center;
-            double lap = diff_z * (up + down - 2.0 * center) / dz2 +
-                         diff_xy * (north + south - 2.0 * center) / dy2 +
-                         diff_xy * (west + east - 2.0 * center) / dx2;
-            // Robin surface sink on the top layer.
-            if (d == 0 && robin_h > 0.0)
-              lap -= robin_h / params_.dz_nm * (center - saturation);
-            next.at(d, h, w) = std::max(center + dt_sub * lap, 0.0);
-          }
-        }
-      }
-    });
-    std::swap(field, next);
-  }
-}
-
 void PebSolver::diffusion_step(PebState& state, double dt) const {
-  if (params_.scheme == DiffusionScheme::kExplicitSubstepped) {
-    diffuse_explicit(state.acid, params_.acid_diff_z(),
-                     params_.acid_diff_xy(), dt, params_.transfer_coeff_acid,
-                     params_.surface_ambient_acid);
-    diffuse_explicit(state.base, params_.base_diff_z(),
-                     params_.base_diff_xy(), dt, params_.transfer_coeff_base,
-                     params_.surface_ambient_base);
-    return;
-  }
   // Acid: anisotropic, Robin top surface.
   diffuse_axis(state.acid, 0, params_.acid_diff_z(), dt,
                params_.transfer_coeff_acid, params_.surface_ambient_acid);

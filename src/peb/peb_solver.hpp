@@ -61,11 +61,6 @@ class PebSolver {
   void diffuse_axis(Grid3& field, int axis, double diff_coeff, double dt,
                     double robin_h, double saturation) const;
 
-  /// Explicit 7-point forward-Euler diffusion over dt, internally substepped
-  /// to the anisotropic CFL limit (DiffusionScheme::kExplicitSubstepped).
-  void diffuse_explicit(Grid3& field, double diff_z, double diff_xy,
-                        double dt, double robin_h, double saturation) const;
-
   void diffusion_step(PebState& state, double dt) const;
 
   PebParams params_;

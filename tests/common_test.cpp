@@ -159,63 +159,20 @@ TEST(Timer, ReportsNonNegativeMonotonicTime) {
   Timer t;
   const double first = t.seconds();
   EXPECT_GE(first, 0.0);
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
-  EXPECT_GE(t.seconds(), first);
+  while (t.seconds() <= first) {
+  }
+  EXPECT_GT(t.seconds(), first);
   EXPECT_GE(t.milliseconds(), t.seconds());  // ms numerically larger
-}
-
-TEST(Timer, StartsRunning) {
-  Timer t;
-  EXPECT_TRUE(t.running());
-}
-
-TEST(Timer, PauseFreezesElapsedTime) {
-  Timer t;
-  t.pause();
-  EXPECT_FALSE(t.running());
-  const double frozen = t.seconds();
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
-  EXPECT_EQ(t.seconds(), frozen);  // no time accrues while paused
-}
-
-TEST(Timer, ResumeAccumulatesAcrossIntervals) {
-  Timer t;
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
-  t.pause();
-  const double first_interval = t.seconds();
-  EXPECT_GT(first_interval, 0.0);
-  t.resume();
-  EXPECT_TRUE(t.running());
-  for (int i = 0; i < 100000; ++i) sink += i;
-  t.pause();
-  EXPECT_GE(t.seconds(), first_interval);
-}
-
-TEST(Timer, PauseAndResumeAreIdempotent) {
-  Timer t;
-  t.pause();
-  const double frozen = t.seconds();
-  t.pause();  // no-op
-  EXPECT_EQ(t.seconds(), frozen);
-  t.resume();
-  t.resume();  // no-op
-  EXPECT_TRUE(t.running());
 }
 
 TEST(Timer, ResetDropsAccumulatedTime) {
   Timer t;
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
-  t.pause();
-  EXPECT_GT(t.seconds(), 0.0);
+  while (t.seconds() < 0.05) {
+  }
   t.reset();
-  EXPECT_TRUE(t.running());
-  // Right after reset the accumulated time is gone; the live interval is
-  // tiny compared with the banked busy-loop above.
-  EXPECT_LT(t.seconds(), 1.0);
+  // Right after reset the elapsed time restarts from zero, far below the
+  // 50 ms waited out above.
+  EXPECT_LT(t.seconds(), 0.05);
 }
 
 }  // namespace

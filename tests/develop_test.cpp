@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "develop/eikonal.hpp"
 #include "develop/mack.hpp"
 #include "develop/profile.hpp"
@@ -138,6 +141,116 @@ TEST(Eikonal, FrontWrapsAroundSlowBlock) {
 TEST(Eikonal, RejectsNonPositiveRate) {
   Grid3 rate(2, 2, 2, 0.0);
   EXPECT_THROW(solve_development_front(rate, EikonalSpacing{}), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Closed-form references for the FIM solver: the discrete equations it
+// solves, and exact fronts of the continuous problem.
+
+/// godunov_update of voxel (d, h, w) from the arrival times of its six
+/// neighbours (infinity past the boundary).
+double relaxed_arrival(const Grid3& arrival, const Grid3& rate,
+                       const EikonalSpacing& spacing, std::int64_t d,
+                       std::int64_t h, std::int64_t w) {
+  const auto at = [&](std::int64_t dd, std::int64_t hh, std::int64_t ww) {
+    const bool inside = dd >= 0 && dd < arrival.depth() && hh >= 0 &&
+                        hh < arrival.height() && ww >= 0 &&
+                        ww < arrival.width();
+    return inside ? arrival.at(dd, hh, ww) : kInf;
+  };
+  return godunov_update(std::min(at(d, h, w - 1), at(d, h, w + 1)),
+                        std::min(at(d, h - 1, w), at(d, h + 1, w)),
+                        std::min(at(d - 1, h, w), at(d + 1, h, w)),
+                        spacing.dx_nm, spacing.dy_nm, spacing.dz_nm,
+                        1.0 / rate.at(d, h, w));
+}
+
+class FimFixedPointTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FimFixedPointTest, EveryVoxelEqualsItsGodunovUpdate) {
+  // Converged to 1e-12 s, every voxel must equal the Godunov update of its
+  // neighbours, and a top voxel the earlier of that and its seed. This
+  // holds the solver to the discrete equations themselves.
+  Rng rng(GetParam());
+  Grid3 rate(5, 8, 8);
+  for (auto& v : rate.data()) v = rng.uniform(0.5, 40.0);
+  const EikonalSpacing spacing{4.0, 4.0, 5.0};
+  constexpr double kEps = 1e-12;
+  const auto arrival = solve_development_front(rate, spacing, kEps);
+  for (std::int64_t d = 0; d < rate.depth(); ++d)
+    for (std::int64_t h = 0; h < rate.height(); ++h)
+      for (std::int64_t w = 0; w < rate.width(); ++w) {
+        double expected = relaxed_arrival(arrival, rate, spacing, d, h, w);
+        if (d == 0)
+          expected = std::min(expected, 0.5 * spacing.dz_nm / rate.at(0, h, w));
+        EXPECT_NEAR(arrival.at(d, h, w), expected, kEps)
+            << d << "," << h << "," << w;
+      }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FimFixedPointTest, ::testing::Values(1, 2, 3));
+
+TEST(EikonalClosedForm, StratifiedMediumSumsLayerTransitTimes) {
+  // With the rate varying by depth only, the front stays planar: it
+  // crosses half of the top layer, then each layer j in dz / r_j.
+  const std::int64_t depth = 12;
+  Rng rng(4);
+  std::vector<double> layer_rate(static_cast<std::size_t>(depth));
+  for (auto& r : layer_rate) r = rng.uniform(0.5, 40.0);
+  Grid3 rate(depth, 5, 6);
+  for (std::int64_t d = 0; d < depth; ++d)
+    for (std::int64_t h = 0; h < rate.height(); ++h)
+      for (std::int64_t w = 0; w < rate.width(); ++w)
+        rate.at(d, h, w) = layer_rate[static_cast<std::size_t>(d)];
+  const EikonalSpacing spacing{4.0, 4.0, 5.0};
+  const auto arrival = solve_development_front(rate, spacing);
+
+  double expected = 0.0;
+  for (std::int64_t d = 0; d < depth; ++d) {
+    const double layer = layer_rate[static_cast<std::size_t>(d)];
+    expected += (d == 0 ? 0.5 : 1.0) * spacing.dz_nm / layer;
+    for (std::int64_t h = 0; h < rate.height(); ++h)
+      for (std::int64_t w = 0; w < rate.width(); ++w)
+        EXPECT_NEAR(arrival.at(d, h, w), expected, 1e-12 * expected)
+            << d << "," << h << "," << w;
+  }
+}
+
+TEST(EikonalClosedForm, PinholeFrontConvergesToASphere) {
+  // Developer enters a 32 nm cube of rate 1 nm/s through the centre voxel
+  // of a nearly inert top layer, so the front is a sphere about that
+  // voxel's centre: T = h/2 + |x - x_pin|. Measured below the top layer
+  // and outside radius L/4, the error must fall at every refinement. A
+  // point source under a first-order stencil converges at below order 1.
+  constexpr double kLengthNm = 32.0;
+  std::vector<double> errors;
+  for (const std::int64_t n : {8, 16, 32, 64}) {
+    const double h = kLengthNm / static_cast<double>(n);
+    const std::int64_t pin = n / 2;
+    Grid3 rate(n, n, n, 1.0);
+    for (std::int64_t y = 0; y < n; ++y)
+      for (std::int64_t x = 0; x < n; ++x) rate.at(0, y, x) = 1e-4;
+    rate.at(0, pin, pin) = 1.0;
+    const auto arrival = solve_development_front(rate, EikonalSpacing{h, h, h});
+
+    double worst = 0.0;
+    for (std::int64_t d = 1; d < n; ++d)
+      for (std::int64_t y = 0; y < n; ++y)
+        for (std::int64_t x = 0; x < n; ++x) {
+          const double dist =
+              h * std::sqrt(static_cast<double>(d * d + (y - pin) * (y - pin) +
+                                                (x - pin) * (x - pin)));
+          if (dist <= kLengthNm / 4.0) continue;
+          worst = std::max(worst, std::abs(arrival.at(d, y, x) -
+                                           (0.5 * h + dist)));
+        }
+    errors.push_back(worst);
+  }
+  for (std::size_t i = 0; i + 1 < errors.size(); ++i) {
+    EXPECT_LT(errors[i + 1], errors[i]);
+    EXPECT_GE(std::log2(errors[i] / errors[i + 1]), 0.6)
+        << "refinement " << i << ": " << errors[i] << " -> " << errors[i + 1];
+  }
 }
 
 TEST(Profile, ThresholdsArrivalTime) {

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "eval/dataset.hpp"
+#include "eval/epe.hpp"
 #include "eval/harness.hpp"
 #include "eval/metrics.hpp"
 #include "tensor/stats.hpp"
@@ -84,6 +85,18 @@ TEST(Dataset, ValidationCatchesSpacingMismatch) {
 TEST(Dataset, ValidationCatchesDillInconsistency) {
   auto config = tiny_config();
   config.dill.acid_max = 0.5;  // != [A]_sat
+  EXPECT_THROW(build_dataset(config), Error);
+}
+
+TEST(Dataset, TwoClipsSplitOneTrainOneTest) {
+  // 0.75 of 2 clips rounds to 2; the split keeps one clip on each side.
+  auto config = tiny_config();
+  config.clip_count = 2;
+  const auto dataset = build_dataset(config);
+  EXPECT_EQ(dataset.train.size(), 1u);
+  EXPECT_EQ(dataset.test.size(), 1u);
+
+  config.clip_count = 1;
   EXPECT_THROW(build_dataset(config), Error);
 }
 
@@ -190,6 +203,74 @@ TEST(Harness, FormatTableMentionsEveryMethod) {
   EXPECT_NE(table.find("MethodA"), std::string::npos);
   EXPECT_NE(table.find("MethodB"), std::string::npos);
   EXPECT_NE(table.find("12.5"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Edge placement error
+// ---------------------------------------------------------------------------
+
+Grid3 arrival_with_hole(std::int64_t h0, std::int64_t h1, std::int64_t w0,
+                        std::int64_t w1) {
+  Grid3 arrival(1, 24, 24, 1000.0);
+  for (std::int64_t h = h0; h <= h1; ++h)
+    for (std::int64_t w = w0; w <= w1; ++w) arrival.at(0, h, w) = 1.0;
+  return arrival;
+}
+
+TEST(Epe, IdenticalFrontsGiveZero) {
+  const auto front = arrival_with_hole(8, 12, 8, 12);
+  litho::MaskClip clip;
+  clip.pixel_nm = 2.0;
+  clip.pixels = Tensor(Shape{24, 24});
+  clip.contacts.push_back({10, 10, 5, 5});
+  const auto epes = eval::edge_placement_errors(front, front, 60.0, clip, 0);
+  ASSERT_EQ(epes.size(), 1u);
+  EXPECT_TRUE(epes[0].resolved);
+  EXPECT_DOUBLE_EQ(epes[0].left_nm, 0.0);
+  EXPECT_DOUBLE_EQ(epes[0].right_nm, 0.0);
+  EXPECT_DOUBLE_EQ(eval::epe_rms_nm(epes), 0.0);
+}
+
+TEST(Epe, DetectsOneSidedShift) {
+  // Prediction opens one extra column on the right: right edge moves by
+  // one pixel (2 nm), the others stay put.
+  const auto ref = arrival_with_hole(8, 12, 8, 12);
+  const auto pred = arrival_with_hole(8, 12, 8, 13);
+  litho::MaskClip clip;
+  clip.pixel_nm = 2.0;
+  clip.pixels = Tensor(Shape{24, 24});
+  clip.contacts.push_back({10, 10, 5, 5});
+  const auto epes = eval::edge_placement_errors(pred, ref, 60.0, clip, 0);
+  ASSERT_EQ(epes.size(), 1u);
+  EXPECT_DOUBLE_EQ(epes[0].right_nm, 2.0);
+  EXPECT_DOUBLE_EQ(epes[0].left_nm, 0.0);
+  EXPECT_DOUBLE_EQ(epes[0].top_nm, 0.0);
+  EXPECT_DOUBLE_EQ(epes[0].bottom_nm, 0.0);
+  EXPECT_NEAR(eval::epe_rms_nm(epes), 1.0, 1e-12);  // sqrt(4/4)=1
+}
+
+TEST(Epe, UnresolvedContactIsSkipped) {
+  const auto ref = arrival_with_hole(8, 12, 8, 12);
+  Grid3 pred(1, 24, 24, 1000.0);  // nothing opens
+  litho::MaskClip clip;
+  clip.pixel_nm = 2.0;
+  clip.pixels = Tensor(Shape{24, 24});
+  clip.contacts.push_back({10, 10, 5, 5});
+  const auto epes = eval::edge_placement_errors(pred, ref, 60.0, clip, 0);
+  ASSERT_EQ(epes.size(), 1u);
+  EXPECT_FALSE(epes[0].resolved);
+  EXPECT_DOUBLE_EQ(eval::epe_rms_nm(epes), 0.0);
+}
+
+TEST(Epe, EdgeExtentMatchesHoleGeometry) {
+  const auto front = arrival_with_hole(8, 12, 6, 14);
+  litho::Contact contact{10, 10, 5, 9};
+  const auto edges =
+      eval::locate_contact_edges(front, 60.0, contact, 0, 2.0, 2.0);
+  ASSERT_TRUE(edges.resolved);
+  EXPECT_DOUBLE_EQ(edges.left_nm, (6.0 - 0.5) * 2.0 + 1.0 - 1.0);  // 11
+  EXPECT_DOUBLE_EQ(edges.right_nm - edges.left_nm, 9.0 * 2.0);
+  EXPECT_DOUBLE_EQ(edges.bottom_nm - edges.top_nm, 5.0 * 2.0);
 }
 
 }  // namespace

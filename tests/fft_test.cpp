@@ -101,18 +101,6 @@ TEST(Fft, ParsevalEnergyConservation) {
   EXPECT_NEAR(freq_energy, time_energy * static_cast<double>(n), 1e-7);
 }
 
-TEST(Fft2, RoundTrip) {
-  Rng rng(11);
-  const std::int64_t h = 8, w = 16;
-  std::vector<Complex> grid(static_cast<std::size_t>(h * w));
-  for (auto& v : grid) v = Complex(rng.normal(), 0.0);
-  const auto original = grid;
-  fft2(grid, h, w, false);
-  fft2(grid, h, w, true);
-  for (std::size_t i = 0; i < grid.size(); ++i)
-    EXPECT_NEAR(std::abs(grid[i] - original[i]), 0.0, 1e-10);
-}
-
 TEST(Fft3, RoundTrip) {
   Rng rng(13);
   const std::int64_t d = 4, h = 8, w = 8;

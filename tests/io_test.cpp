@@ -7,6 +7,8 @@
 #include "common/error.hpp"
 #include "io/pgm.hpp"
 #include "io/volume_io.hpp"
+#include "nn/layers.hpp"
+#include "nn/serialize.hpp"
 
 namespace sdmpeb::io {
 namespace {
@@ -39,23 +41,12 @@ TEST_F(IoTest, GridRoundTrip) {
                      grid.data()[static_cast<std::size_t>(i)]);
 }
 
-TEST_F(IoTest, TensorRoundTripPreservesShape) {
-  Rng rng(1);
-  const Tensor t = Tensor::uniform(Shape{2, 3, 4, 5}, rng);
-  save_tensor(t, path("tensor.bin"));
-  const Tensor loaded = load_tensor(path("tensor.bin"));
-  ASSERT_EQ(loaded.shape(), t.shape());
-  for (std::int64_t i = 0; i < t.numel(); ++i)
-    EXPECT_FLOAT_EQ(loaded[i], t[i]);
-}
-
 TEST_F(IoTest, LoadRejectsWrongMagic) {
   {
     std::ofstream out(path("junk.bin"), std::ios::binary);
     out << "NOPE and some bytes";
   }
   EXPECT_THROW(load_grid(path("junk.bin")), Error);
-  EXPECT_THROW(load_tensor(path("junk.bin")), Error);
 }
 
 TEST_F(IoTest, LoadRejectsTruncatedPayload) {
@@ -70,10 +61,12 @@ TEST_F(IoTest, LoadMissingFileThrows) {
   EXPECT_THROW(load_grid(path("missing.bin")), Error);
 }
 
-TEST_F(IoTest, CrossLoadingGridAsTensorFails) {
+TEST_F(IoTest, CrossLoadingGridAsParametersFails) {
   Grid3 grid(2, 2, 2, 1.0);
   save_grid(grid, path("grid.bin"));
-  EXPECT_THROW(load_tensor(path("grid.bin")), Error);
+  Rng rng(1);
+  nn::Linear module(2, 2, rng);
+  EXPECT_THROW(nn::load_parameters(module, path("grid.bin")), Error);
 }
 
 TEST_F(IoTest, PgmHeaderAndSize) {

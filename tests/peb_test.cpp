@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -301,6 +302,177 @@ TEST_P(StrangConvergenceTest, RefiningDtConverges) {
 
 INSTANTIATE_TEST_SUITE_P(TimeSteps, StrangConvergenceTest,
                          ::testing::Values(0.2, 0.1, 0.05));
+
+// ---------------------------------------------------------------------------
+// Closed-form references for the LOD diffusion. Reaction, quencher and
+// surface loss are off unless a test turns the surface on, so the acid
+// obeys the diffusion equation alone.
+
+PebParams pure_diffusion_params() {
+  PebParams p;
+  p.catalysis_coeff = 0.0;
+  p.reaction_coeff = 0.0;
+  p.transfer_coeff_acid = 0.0;
+  p.base0 = 0.0;
+  return p;
+}
+
+/// cos(pi k (i + 1/2) / n): cell i of a zero-flux mode along an axis of n
+/// cells. It is an eigenvector of the discrete Laplacian with zero-flux
+/// ends and, sampled at cell centres, of the continuous one.
+double zero_flux_mode(int k, std::int64_t i, std::int64_t n) {
+  return std::cos(M_PI * k * (static_cast<double>(i) + 0.5) /
+                  static_cast<double>(n));
+}
+
+TEST(PebClosedForm, LodIsExactOnZeroFluxModes) {
+  // Backward Euler along one axis multiplies a zero-flux mode by
+  // 1 / (1 + 4 r sin^2(pi k / 2N)), r = D dt / h^2, and keeps the constant
+  // mode. LOD applies the three axis factors in turn, so a product of
+  // modes decays by their product every step, with nothing left over.
+  const PebParams params = pure_diffusion_params();
+  const PebSolver solver(params);
+  const std::int64_t n[3] = {8, 12, 10};  // (z, y, x)
+  const int k[3] = {1, 2, 3};
+  const double h[3] = {params.dz_nm, params.dy_nm, params.dx_nm};
+  const double diff[3] = {params.acid_diff_z(), params.acid_diff_xy(),
+                          params.acid_diff_xy()};
+  double decay = 1.0;
+  for (int axis = 0; axis < 3; ++axis) {
+    const double r = diff[axis] * params.dt_s / (h[axis] * h[axis]);
+    const double s = std::sin(M_PI * k[axis] / (2.0 * n[axis]));
+    decay /= 1.0 + 4.0 * r * s * s;
+  }
+
+  Grid3 mode(n[0], n[1], n[2]);
+  for (std::int64_t d = 0; d < n[0]; ++d)
+    for (std::int64_t y = 0; y < n[1]; ++y)
+      for (std::int64_t x = 0; x < n[2]; ++x)
+        mode.at(d, y, x) = zero_flux_mode(k[0], d, n[0]) *
+                           zero_flux_mode(k[1], y, n[1]) *
+                           zero_flux_mode(k[2], x, n[2]);
+  Grid3 acid0 = mode;
+  for (auto& v : acid0.data()) v = 0.5 + 0.3 * v;
+
+  auto state = solver.initial_state(acid0);
+  double worst = 0.0;
+  for (int step = 1; step <= 50; ++step) {
+    solver.step(state);
+    const double amplitude = 0.3 * std::pow(decay, step);
+    for (std::size_t i = 0; i < mode.data().size(); ++i)
+      worst = std::max(worst, std::abs(state.acid.data()[i] -
+                                       (0.5 + amplitude * mode.data()[i])));
+  }
+  EXPECT_LT(worst, 1e-12);
+}
+
+/// Largest deviation of a zero-flux column along z (`cells` x 1 x 1 at
+/// params.dz_nm), started at 0.5 + 0.3 cos(pi k z / L), from the exact
+/// solution 0.5 + 0.3 exp(-D (pi k / L)^2 t) cos(pi k z / L) after `steps`
+/// steps of params.dt_s.
+double column_mode_error(const PebParams& params, std::int64_t cells, int k,
+                         std::int64_t steps) {
+  const PebSolver solver(params);
+  Grid3 acid0(cells, 1, 1);
+  for (std::int64_t i = 0; i < cells; ++i)
+    acid0.at(i, 0, 0) = 0.5 + 0.3 * zero_flux_mode(k, i, cells);
+  auto state = solver.initial_state(acid0);
+  for (std::int64_t i = 0; i < steps; ++i) solver.step(state);
+
+  const double wave = M_PI * k / (static_cast<double>(cells) * params.dz_nm);
+  const double t = static_cast<double>(steps) * params.dt_s;
+  const double amplitude =
+      0.3 * std::exp(-params.acid_diff_z() * wave * wave * t);
+  double worst = 0.0;
+  for (std::int64_t i = 0; i < cells; ++i)
+    worst = std::max(worst,
+                     std::abs(state.acid.at(i, 0, 0) -
+                              (0.5 + amplitude * zero_flux_mode(k, i, cells))));
+  return worst;
+}
+
+/// log2 of each error over the next: the observed order per refinement.
+std::vector<double> observed_orders(const std::vector<double>& errors) {
+  std::vector<double> orders;
+  for (std::size_t i = 0; i + 1 < errors.size(); ++i)
+    orders.push_back(std::log2(errors[i] / errors[i + 1]));
+  return orders;
+}
+
+TEST(PebClosedForm, DiffusionIsFirstOrderInTime) {
+  // Table I's normal acid diffusion (D = 27.2 nm^2/s) on 256 cells of
+  // 0.25 nm: there the spatial error is under 1% of the temporal one, so
+  // halving dt from 0.4 s to 0.05 s must halve the error each time. The
+  // bake is 20 s instead of Table I's 90 s.
+  PebParams params = pure_diffusion_params();
+  params.dz_nm = 0.25;
+  constexpr double kBakeSeconds = 20.0;
+  std::vector<double> errors;
+  for (const double dt : {0.4, 0.2, 0.1, 0.05}) {
+    params.dt_s = dt;
+    errors.push_back(
+        column_mode_error(params, 256, 1, std::lround(kBakeSeconds / dt)));
+  }
+  for (const double order : observed_orders(errors)) {
+    EXPECT_GE(order, 0.9);
+    EXPECT_LE(order, 1.1);
+  }
+}
+
+TEST(PebClosedForm, DiffusionIsSecondOrderInSpace) {
+  // A 64 nm column refined from 8 to 64 cells at dt = 1e-4 s, where the
+  // temporal error stays under a tenth of the spatial one: halving the
+  // spacing must quarter the error. A 150 nm normal length gives
+  // D = 125 nm^2/s; the bake is 0.25 s.
+  PebParams params = pure_diffusion_params();
+  params.normal_diff_len_acid_nm = 150.0;
+  params.dt_s = 1e-4;
+  constexpr double kLengthNm = 64.0;
+  std::vector<double> errors;
+  for (const std::int64_t cells : {8, 16, 32, 64}) {
+    params.dz_nm = kLengthNm / static_cast<double>(cells);
+    errors.push_back(column_mode_error(params, cells, 1, 2500));
+  }
+  for (const double order : observed_orders(errors)) {
+    EXPECT_GE(order, 1.8);
+    EXPECT_LE(order, 2.2);
+  }
+}
+
+TEST(PebClosedForm, RobinSurfaceLossBalancesMassExactly) {
+  // The Robin row adds s (A_top - ambient), s = h_A dt / dz, to each
+  // column's backward-Euler system and the zero-flux rows conserve mass,
+  // so every step loses exactly s * sum over the top layer of
+  // (A_new - ambient). The lateral sweeps keep each layer's sum.
+  PebParams params = pure_diffusion_params();
+  params.transfer_coeff_acid = 0.5;
+  params.surface_ambient_acid = 0.1;
+  const PebSolver solver(params);
+  const double s =
+      params.transfer_coeff_acid * params.dt_s / params.dz_nm;
+  Grid3 acid0(6, 5, 4);
+  Rng rng(3);
+  for (auto& v : acid0.data()) v = rng.uniform(0.0, 0.9);
+
+  const auto mass = [](const Grid3& field) {
+    double total = 0.0;
+    for (const double v : field.data()) total += v;
+    return total;
+  };
+  auto state = solver.initial_state(acid0);
+  double worst = 0.0;
+  for (int step = 0; step < 30; ++step) {
+    const double before = mass(state.acid);
+    solver.step(state);
+    double surface = 0.0;
+    for (std::int64_t y = 0; y < acid0.height(); ++y)
+      for (std::int64_t x = 0; x < acid0.width(); ++x)
+        surface += state.acid.at(0, y, x) - params.surface_ambient_acid;
+    worst = std::max(worst,
+                     std::abs((before - mass(state.acid)) - s * surface));
+  }
+  EXPECT_LT(worst, 1e-12);
+}
 
 }  // namespace
 }  // namespace sdmpeb::peb
