@@ -8,7 +8,11 @@
 # exit code is non-zero. BENCH_SEQUENCE_DONE is only printed on full
 # success — CI and humans can both key on it.
 cd "$(dirname "$0")"
-rm -rf bench_out
+# Clear the previous run's outputs: the bench binaries write files at the
+# top of bench_out/. Subdirectories, such as e2ebench's bench_out/e2e/ runs,
+# stay.
+mkdir -p bench_out
+find bench_out -maxdepth 1 -type f -delete
 FAILED=()
 for b in build/bench/bench_*; do
   [ -f "$b" ] && [ -x "$b" ] || continue

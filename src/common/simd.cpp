@@ -5,6 +5,7 @@
 
 #include "common/simd.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -278,6 +279,109 @@ void dwconv1d_interior_row(float* orow, const float* x, const float* w,
     for (std::int64_t k = 0; k < kernel; ++k)
       acc += static_cast<double>(x[k * cols + c]) * wrow[k];
     orow[c] = static_cast<float>(acc);
+  }
+}
+
+// --------------------------- selective scan --------------------------------
+
+float softplus(float v) {
+  // Overflow-safe: softplus(v) = max(v, 0) + log1p(exp(-|v|)).
+  return std::max(v, 0.0f) + std::log1p(std::exp(-std::abs(v)));
+}
+
+namespace {
+
+float delta_at(const ScanArgs& s, std::int64_t t, std::int64_t ch) {
+  return s.delta ? s.delta[t * s.channels + ch]
+                 : softplus(s.delta_col[t] + s.delta_bias[ch]);
+}
+
+}  // namespace
+
+void scan_forward(const ScanArgs& s, std::int64_t c0, std::int64_t c1,
+                  float* state, float* out, float* hidden) {
+#if SDMPEB_SIMD_X86
+  if (s.states == 8 && active() == Isa::kAvx2) {
+    avx2::scan_forward8(s, c0, c1, state, out, hidden);
+    return;
+  }
+#endif
+  const auto channels = s.channels;
+  const auto states = s.states;
+  std::fill(state, state + (c1 - c0) * states, 0.0f);
+  for (std::int64_t t = 0; t < s.seq_len; ++t) {
+    const float* brow = s.b + t * states;
+    const float* crow = s.c + t * states;
+    for (std::int64_t ch = c0; ch < c1; ++ch) {
+      const float dt = delta_at(s, t, ch);
+      const float xt = s.x[t * channels + ch];
+      const float* arow = s.a_neg + ch * states;
+      float* h = state + (ch - c0) * states;
+      double y_acc = static_cast<double>(s.d_skip[ch]) * xt;
+      for (std::int64_t n = 0; n < states; ++n) {
+        const float a_bar = std::exp(dt * arow[n]);
+        h[n] = a_bar * h[n] + dt * brow[n] * xt;
+        y_acc += static_cast<double>(crow[n]) * h[n];
+      }
+      if (hidden)
+        std::copy(h, h + states, hidden + (t * channels + ch) * states);
+      out[t * channels + ch] = static_cast<float>(y_acc);
+    }
+  }
+}
+
+void scan_adjoint(const ScanArgs& s, std::int64_t c0, std::int64_t c1,
+                  const float* hidden, const float* g, float* dh,
+                  const ScanGrads& grads) {
+#if SDMPEB_SIMD_X86
+  if (s.states == 8 && active() == Isa::kAvx2) {
+    avx2::scan_adjoint8(s, c0, c1, hidden, g, dh, grads);
+    return;
+  }
+#endif
+  const auto channels = s.channels;
+  const auto states = s.states;
+  std::fill(dh, dh + (c1 - c0) * states, 0.0f);
+  for (std::int64_t t = s.seq_len - 1; t >= 0; --t) {
+    const float* brow = s.b + t * states;
+    const float* crow = s.c + t * states;
+    for (std::int64_t ch = c0; ch < c1; ++ch) {
+      const float dy = g[t * channels + ch];
+      const float dt = delta_at(s, t, ch);
+      const float xt = s.x[t * channels + ch];
+      if (grads.d_skip) grads.d_skip[ch] += dy * xt;
+      const float* arow = s.a_neg + ch * states;
+      const float* hprev =
+          t > 0 ? hidden + ((t - 1) * channels + ch) * states : nullptr;
+      float* dhrow = dh + (ch - c0) * states;
+      float* bterm =
+          grads.b_terms ? grads.b_terms + (t * channels + ch) * states
+                        : nullptr;
+      double dx_acc = static_cast<double>(s.d_skip[ch]) * dy;
+      double ddelta_acc = 0.0;
+      for (std::int64_t n = 0; n < states; ++n) {
+        const float dh_cn = dhrow[n] + crow[n] * dy;
+        const float a_cn = arow[n];
+        const float a_bar = std::exp(dt * a_cn);
+        const float h_prev = hprev ? hprev[n] : 0.0f;
+
+        // h_t = a_bar * h_prev + dt * B_t[n] * x_t.
+        const float da_bar = dh_cn * h_prev;
+        ddelta_acc += static_cast<double>(da_bar) * a_cn * a_bar;
+        ddelta_acc += static_cast<double>(dh_cn) * brow[n] * xt;
+        dx_acc += static_cast<double>(dh_cn) * dt * brow[n];
+        if (bterm) bterm[n] = dh_cn * dt * xt;
+        // dA += da_bar * dt * a_bar; a_log grad = dA * dA/da_log with
+        // A = -exp(a_log) => dA/da_log = A.
+        if (grads.a_log)
+          grads.a_log[ch * states + n] += da_bar * dt * a_bar * a_cn;
+        // Pass the adjoint to h_{t-1}.
+        dhrow[n] = dh_cn * a_bar;
+      }
+      if (grads.x) grads.x[t * channels + ch] += static_cast<float>(dx_acc);
+      if (grads.delta)
+        grads.delta[t * channels + ch] += static_cast<float>(ddelta_acc);
+    }
   }
 }
 

@@ -15,9 +15,10 @@
 //     leaky_relu) perform the same correctly-rounded IEEE op sequence in
 //     both backends — no FMA contraction — so they are bitwise identical
 //     ACROSS backends too.
-//   - GEMM, depthwise conv, layer norm, and the ADI line solves change the
-//     accumulation shape under AVX2 (FMA, lane-split sums); those are
-//     tolerance-checked cross-backend and bitwise only within a backend.
+//   - GEMM, depthwise conv, layer norm, the ADI line solves and the
+//     selective scan change the accumulation shape under AVX2 (FMA,
+//     lane-split sums, an 8-lane exp); those are tolerance-checked
+//     cross-backend and bitwise only within a backend.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define SDMPEB_SIMD_X86 1
 #else
@@ -173,6 +174,60 @@ using TridiagLines4Fn = void (*)(const double* c, const double* denom,
 /// (callers run the scalar per-lane substitution).
 TridiagLines4Fn tridiag_lines4();
 
+// ---------------------------------------------------------------------------
+// Selective scan (nn/ops_scan.cpp). One call runs a block of channels over
+// the whole sequence; channel recurrences are independent, so the caller
+// splits channels into fixed blocks and every element's arithmetic is the
+// same at any thread count. N = 8 states fill one ymm register: the AVX2
+// backend runs that case with an 8-lane exp and FMA (tolerance
+// cross-backend); the scalar backend, and the AVX2 one at any other N, run
+// the scalar reference, which reproduces the historical serial loop bit for
+// bit.
+// ---------------------------------------------------------------------------
+
+/// softplus(v) = max(v, 0) + log1p(exp(-|v|)), the nn::ops::softplus map.
+/// Out of line so both backends round it identically.
+float softplus(float v);
+
+/// Operands of the scan over (L, C) inputs with N states (ops.hpp).
+/// Δ[t, c] is delta[t * C + c] when `delta` is set, else the fused Eq. 11,
+/// softplus(delta_col[t] + delta_bias[c]).
+struct ScanArgs {
+  std::int64_t seq_len = 0, channels = 0, states = 0;
+  const float* delta = nullptr;       ///< (L, C) step sizes, or nullptr
+  const float* delta_col = nullptr;   ///< (L) Linear_1 output
+  const float* delta_bias = nullptr;  ///< (C)
+  const float* x = nullptr;           ///< (L, C)
+  const float* a_neg = nullptr;       ///< (C, N), A = -exp(a_log)
+  const float* b = nullptr;           ///< (L, N)
+  const float* c = nullptr;           ///< (L, N)
+  const float* d_skip = nullptr;      ///< (C)
+};
+
+/// Forward over channels [c0, c1): out (L, C) rows get y[t, c]; hidden,
+/// when non-null, receives the (L, C, N) state trajectory. `state` is
+/// (c1 - c0) * N floats of caller scratch.
+void scan_forward(const ScanArgs& s, std::int64_t c0, std::int64_t c1,
+                  float* state, float* out, float* hidden);
+
+/// Gradient buffers of the scan's adjoint; a null pointer skips that term.
+struct ScanGrads {
+  float* x = nullptr;       ///< (L, C), accumulated
+  float* delta = nullptr;   ///< (L, C) dL/dΔ, accumulated
+  float* a_log = nullptr;   ///< (C, N), accumulated
+  float* d_skip = nullptr;  ///< (C), accumulated
+  /// (L, C, N): written with each channel's dL/dB[t, n] term; the caller
+  /// folds them over channels in ascending order.
+  float* b_terms = nullptr;
+};
+
+/// Reverse-time adjoint over channels [c0, c1), given the forward's
+/// trajectory and the output gradient g (L, C). `dh` is (c1 - c0) * N
+/// floats of caller scratch.
+void scan_adjoint(const ScanArgs& s, std::int64_t c0, std::int64_t c1,
+                  const float* hidden, const float* g, float* dh,
+                  const ScanGrads& grads);
+
 #if SDMPEB_SIMD_X86
 /// Raw AVX2 kernels (simd_avx2.cpp, compiled -mavx2 -mfma -ffp-contract=off).
 /// Call only through the dispatchers above — these are exposed for the
@@ -217,6 +272,12 @@ void dwconv1d_interior_row(float* orow, const float* x, const float* wt,
 void tridiag_lines4(const double* c, const double* denom, const double* sub,
                     std::int64_t n, double* data, std::int64_t elem_stride,
                     std::int64_t lane_stride, double rhs0_add, double* d4);
+/// The scan kernels at N = 8 (ScanArgs::states must be 8).
+void scan_forward8(const ScanArgs& s, std::int64_t c0, std::int64_t c1,
+                   float* state, float* out, float* hidden);
+void scan_adjoint8(const ScanArgs& s, std::int64_t c0, std::int64_t c1,
+                   const float* hidden, const float* g, float* dh,
+                   const ScanGrads& grads);
 }  // namespace avx2
 #endif  // SDMPEB_SIMD_X86
 

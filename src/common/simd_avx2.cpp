@@ -43,6 +43,48 @@ inline double hsum_ordered(__m256d v) {
   return ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
 }
 
+/// Fixed-order horizontal sum of 8 float lanes: (lo + hi) halves, then
+/// pairs, then the last two.
+inline float hsum8(__m256 v) {
+  __m128 s = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+  s = _mm_add_ss(s, _mm_movehdup_ps(s));
+  return _mm_cvtss_f32(s);
+}
+
+/// 8-lane e^x: Cody-Waite reduction x = k ln2 + r, |r| <= ln2/2, and the
+/// Cephes degree-6 polynomial for e^r, scaled by 2^k through the exponent
+/// bits. Within 2 ulp of std::exp on [-87.3, 88]; inputs outside clamp
+/// to those ends (e^-87.3 is the smallest normal float, not 0). The clamps
+/// keep NaN (max/min return their second operand on unordered input).
+inline __m256 exp8(__m256 x) {
+  x = _mm256_min_ps(_mm256_set1_ps(88.0f), x);
+  x = _mm256_max_ps(_mm256_set1_ps(-87.33654f), x);
+  const __m256 k = _mm256_round_ps(
+      _mm256_mul_ps(x, _mm256_set1_ps(1.44269504088896341f)),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256 r = _mm256_fnmadd_ps(k, _mm256_set1_ps(0.693359375f), x);
+  r = _mm256_fnmadd_ps(k, _mm256_set1_ps(-2.12194440e-4f), r);
+  __m256 p = _mm256_set1_ps(1.9875691500e-4f);
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.3981999507e-3f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(8.3334519073e-3f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(4.1665795894e-2f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.6666665459e-1f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(5.0000001201e-1f));
+  p = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r),
+                      _mm256_add_ps(r, _mm256_set1_ps(1.0f)));
+  const __m256i scale = _mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_cvtps_epi32(k), _mm256_set1_epi32(127)), 23);
+  return _mm256_mul_ps(p, _mm256_castsi256_ps(scale));
+}
+
+/// Δ[t, ch] of the scan (ScanArgs). softplus stays the out-of-line scalar
+/// map, so both backends see the same step sizes.
+inline float delta_at(const ScanArgs& s, std::int64_t t, std::int64_t ch) {
+  return s.delta ? s.delta[t * s.channels + ch]
+                 : softplus(s.delta_col[t] + s.delta_bias[ch]);
+}
+
 }  // namespace
 
 // ------------------------------ GEMM tile ----------------------------------
@@ -454,6 +496,85 @@ void tridiag_lines4(const double* c, const double* denom, const double* sub,
     xnext = _mm256_sub_pd(_mm256_loadu_pd(d4 + 4 * i),
                           _mm256_mul_pd(_mm256_set1_pd(c[i]), xnext));
     store_lanes_clamped(i, xnext);
+  }
+}
+
+// ----------------------------- selective scan ------------------------------
+// One channel's N = 8 states live in one register; the recurrence runs
+// serially in t per channel, channels of the block interleaved per step.
+
+void scan_forward8(const ScanArgs& s, std::int64_t c0, std::int64_t c1,
+                   float* state, float* out, float* hidden) {
+  constexpr std::int64_t kN = 8;
+  const auto channels = s.channels;
+  for (std::int64_t i = 0; i < (c1 - c0) * kN; i += kN)
+    _mm256_storeu_ps(state + i, _mm256_setzero_ps());
+  for (std::int64_t t = 0; t < s.seq_len; ++t) {
+    const __m256 b = _mm256_loadu_ps(s.b + t * kN);
+    const __m256 c = _mm256_loadu_ps(s.c + t * kN);
+    for (std::int64_t ch = c0; ch < c1; ++ch) {
+      const float dt = delta_at(s, t, ch);
+      const float xt = s.x[t * channels + ch];
+      float* h = state + (ch - c0) * kN;
+      const __m256 a_bar = exp8(_mm256_mul_ps(
+          _mm256_set1_ps(dt), _mm256_loadu_ps(s.a_neg + ch * kN)));
+      // h = a_bar * h + (dt * B) * x: the input term rounds as in the
+      // scalar reference, the decay is one FMA.
+      const __m256 input = _mm256_mul_ps(
+          _mm256_mul_ps(_mm256_set1_ps(dt), b), _mm256_set1_ps(xt));
+      const __m256 hv = _mm256_fmadd_ps(a_bar, _mm256_loadu_ps(h), input);
+      _mm256_storeu_ps(h, hv);
+      if (hidden) _mm256_storeu_ps(hidden + (t * channels + ch) * kN, hv);
+      out[t * channels + ch] =
+          s.d_skip[ch] * xt + hsum8(_mm256_mul_ps(c, hv));
+    }
+  }
+}
+
+void scan_adjoint8(const ScanArgs& s, std::int64_t c0, std::int64_t c1,
+                   const float* hidden, const float* g, float* dh,
+                   const ScanGrads& grads) {
+  constexpr std::int64_t kN = 8;
+  const auto channels = s.channels;
+  for (std::int64_t i = 0; i < (c1 - c0) * kN; i += kN)
+    _mm256_storeu_ps(dh + i, _mm256_setzero_ps());
+  for (std::int64_t t = s.seq_len - 1; t >= 0; --t) {
+    const __m256 b = _mm256_loadu_ps(s.b + t * kN);
+    const __m256 c = _mm256_loadu_ps(s.c + t * kN);
+    for (std::int64_t ch = c0; ch < c1; ++ch) {
+      const float dy = g[t * channels + ch];
+      const float dt = delta_at(s, t, ch);
+      const float xt = s.x[t * channels + ch];
+      if (grads.d_skip) grads.d_skip[ch] += dy * xt;
+      const __m256 a = _mm256_loadu_ps(s.a_neg + ch * kN);
+      const __m256 a_bar = exp8(_mm256_mul_ps(_mm256_set1_ps(dt), a));
+      const __m256 h_prev =
+          t > 0 ? _mm256_loadu_ps(hidden + ((t - 1) * channels + ch) * kN)
+                : _mm256_setzero_ps();
+      float* dhrow = dh + (ch - c0) * kN;
+      // Adjoint of h_t = a_bar * h_prev + dt * B_t * x_t (see the scalar
+      // reference for the per-state terms).
+      const __m256 dh_t =
+          _mm256_fmadd_ps(c, _mm256_set1_ps(dy), _mm256_loadu_ps(dhrow));
+      const __m256 da_bar = _mm256_mul_ps(dh_t, h_prev);
+      const __m256 a_a_bar = _mm256_mul_ps(a, a_bar);
+      const __m256 dh_b = _mm256_mul_ps(dh_t, b);
+      if (grads.b_terms)
+        _mm256_storeu_ps(grads.b_terms + (t * channels + ch) * kN,
+                         _mm256_mul_ps(dh_t, _mm256_set1_ps(dt * xt)));
+      if (grads.a_log) {
+        float* ga = grads.a_log + ch * kN;
+        _mm256_storeu_ps(
+            ga, _mm256_fmadd_ps(_mm256_mul_ps(da_bar, _mm256_set1_ps(dt)),
+                                a_a_bar, _mm256_loadu_ps(ga)));
+      }
+      _mm256_storeu_ps(dhrow, _mm256_mul_ps(dh_t, a_bar));
+      if (grads.x)
+        grads.x[t * channels + ch] += s.d_skip[ch] * dy + dt * hsum8(dh_b);
+      if (grads.delta)
+        grads.delta[t * channels + ch] += hsum8(_mm256_fmadd_ps(
+            dh_b, _mm256_set1_ps(xt), _mm256_mul_ps(da_bar, a_a_bar)));
+    }
   }
 }
 

@@ -47,43 +47,6 @@ EfficientSpatialSelfAttention::EfficientSpatialSelfAttention(
   register_module(out_proj_);
 }
 
-nn::Value EfficientSpatialSelfAttention::attend_slice(
-    const nn::Value& slice) const {
-  const auto tokens = slice->value().dim(0);
-
-  const auto q = q_proj_.forward(slice);
-
-  nn::Value reduced = slice;
-  if (kv_reduce_) {
-    SDMPEB_CHECK_MSG(tokens % reduction_ == 0,
-                     "slice tokens " << tokens
-                                     << " not divisible by reduction "
-                                     << reduction_);
-    reduced = kv_reduce_->forward(nnops::reshape(
-        slice, Shape{tokens / reduction_, channels_ * reduction_}));
-  }
-  const auto k = k_proj_.forward(reduced);
-  const auto v = v_proj_.forward(reduced);
-
-  const auto head_dim = channels_ / heads_;
-  const float scale =
-      1.0f / std::sqrt(static_cast<float>(head_dim));
-  std::vector<nn::Value> head_outputs;
-  head_outputs.reserve(static_cast<std::size_t>(heads_));
-  for (std::int64_t h = 0; h < heads_; ++h) {
-    const auto qh = nnops::narrow_cols(q, h * head_dim, head_dim);
-    const auto kh = nnops::narrow_cols(k, h * head_dim, head_dim);
-    const auto vh = nnops::narrow_cols(v, h * head_dim, head_dim);
-    const auto scores =
-        nnops::mul_scalar(nnops::matmul(qh, kh, false, true), scale);
-    const auto attn = nnops::softmax_rows(scores);
-    head_outputs.push_back(nnops::matmul(attn, vh));
-  }
-  const auto merged = heads_ == 1 ? head_outputs.front()
-                                  : nnops::concat_cols(head_outputs);
-  return out_proj_.forward(merged);
-}
-
 nn::Value EfficientSpatialSelfAttention::forward(const nn::Value& x,
                                                  std::int64_t depth,
                                                  std::int64_t height,
@@ -93,12 +56,52 @@ nn::Value EfficientSpatialSelfAttention::forward(const nn::Value& x,
   SDMPEB_CHECK(x->value().dim(0) == depth * plane);
   SDMPEB_CHECK(x->value().dim(1) == channels_);
 
+  // The projections run once over all D slices. A GEMM's per-element
+  // accumulation order does not depend on its row count, so each row
+  // matches a per-slice projection bit for bit.
+  const auto q = q_proj_.forward(x);
+  nn::Value reduced = x;
+  auto kv_rows = plane;  // key/value tokens per slice
+  if (kv_reduce_) {
+    SDMPEB_CHECK_MSG(plane % reduction_ == 0,
+                     "slice tokens " << plane
+                                     << " not divisible by reduction "
+                                     << reduction_);
+    // Slices are contiguous rows, so this reshape stacks the per-slice
+    // Reshape(HW/r, C·r) of Eq. 15.
+    kv_rows = plane / reduction_;
+    reduced = kv_reduce_->forward(nnops::reshape(
+        x, Shape{depth * kv_rows, channels_ * reduction_}));
+  }
+  const auto k = k_proj_.forward(reduced);
+  const auto v = v_proj_.forward(reduced);
+
+  // QKᵀ, softmax and AV stay within one slice and one head.
+  const auto head_dim = channels_ / heads_;
+  const float scale =
+      1.0f / std::sqrt(static_cast<float>(head_dim));
   std::vector<nn::Value> slices;
   slices.reserve(static_cast<std::size_t>(depth));
-  for (std::int64_t d = 0; d < depth; ++d)
-    slices.push_back(
-        attend_slice(nnops::narrow_rows(x, d * plane, plane)));
-  return depth == 1 ? slices.front() : nnops::concat_rows(slices);
+  for (std::int64_t d = 0; d < depth; ++d) {
+    const auto qd = nnops::narrow_rows(q, d * plane, plane);
+    const auto kd = nnops::narrow_rows(k, d * kv_rows, kv_rows);
+    const auto vd = nnops::narrow_rows(v, d * kv_rows, kv_rows);
+    std::vector<nn::Value> head_outputs;
+    head_outputs.reserve(static_cast<std::size_t>(heads_));
+    for (std::int64_t h = 0; h < heads_; ++h) {
+      const auto qh = nnops::narrow_cols(qd, h * head_dim, head_dim);
+      const auto kh = nnops::narrow_cols(kd, h * head_dim, head_dim);
+      const auto vh = nnops::narrow_cols(vd, h * head_dim, head_dim);
+      const auto scores =
+          nnops::mul_scalar(nnops::matmul(qh, kh, false, true), scale);
+      const auto attn = nnops::softmax_rows(scores);
+      head_outputs.push_back(nnops::matmul(attn, vh));
+    }
+    slices.push_back(heads_ == 1 ? head_outputs.front()
+                                 : nnops::concat_cols(head_outputs));
+  }
+  return out_proj_.forward(depth == 1 ? slices.front()
+                                      : nnops::concat_rows(slices));
 }
 
 }  // namespace sdmpeb::core

@@ -24,8 +24,6 @@ class EfficientSpatialSelfAttention : public nn::Module {
                     std::int64_t height, std::int64_t width) const;
 
  private:
-  nn::Value attend_slice(const nn::Value& slice) const;
-
   std::int64_t channels_;
   std::int64_t heads_;
   std::int64_t reduction_;

@@ -31,24 +31,14 @@ SdmUnit::DirectionBranch::DirectionBranch(const SdmUnitConfig& config,
 }
 
 nn::Value SdmUnit::DirectionBranch::scan(const nn::Value& xd) const {
-  const auto seq_len = xd->value().dim(0);
-  const auto hidden = xd->value().dim(1);
-
   const auto x_conv = nnops::silu(conv_.forward(xd));
   const auto b = b_proj_.forward(x_conv);
   const auto c = c_proj_.forward(x_conv);
-
-  // Δ = softplus(Broadcast_K(Linear_1(x)) + D) — Eq. 11. The broadcasts are
-  // expressed as rank-1 matmuls with constant one-vectors.
-  const auto delta_scalar = delta_proj_.forward(x_conv);  // (L, 1)
-  const auto ones_row = nn::constant(Tensor::full(Shape{1, hidden}, 1.0f));
-  const auto ones_col = nn::constant(Tensor::full(Shape{seq_len, 1}, 1.0f));
-  const auto delta_pre =
-      nnops::add(nnops::matmul(delta_scalar, ones_row),
-                 nnops::matmul(ones_col, delta_bias_));
-  const auto delta = nnops::softplus(delta_pre);
-
-  return nnops::selective_scan(x_conv, delta, a_log_, b, c, d_skip_);
+  // Δ = softplus(Broadcast_K(Linear_1(x)) + D) — Eq. 11, computed inside
+  // the scan from the (L, 1) column and the (1, Ch) bias.
+  const auto delta_col = delta_proj_.forward(x_conv);
+  return nnops::selective_scan(x_conv, delta_col, delta_bias_, a_log_, b, c,
+                               d_skip_);
 }
 
 SdmUnit::SdmUnit(const SdmUnitConfig& config, Rng& rng)

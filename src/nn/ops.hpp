@@ -116,6 +116,13 @@ Value upsample_nearest_per_depth(const Value& x, std::int64_t factor);
 // ---------------------------------------------------------------------------
 Value selective_scan(const Value& x, const Value& delta, const Value& a_log,
                      const Value& b, const Value& c, const Value& d_skip);
+/// The same scan with Eq. 11 fused in: delta[t,c] = softplus(delta_col[t] +
+/// delta_bias[c]) for the (L, 1) Linear_1 output and the (1, C) bias D.
+/// Equal, bit for bit on the scalar backend, to the unfused graph that
+/// broadcasts both with K = 1 matmuls, adds and applies softplus.
+Value selective_scan(const Value& x, const Value& delta_col,
+                     const Value& delta_bias, const Value& a_log,
+                     const Value& b, const Value& c, const Value& d_skip);
 
 // ---------------------------------------------------------------------------
 // Spectral convolution (Fourier Neural Operator layer [19]) for the FNO and

@@ -38,7 +38,7 @@ Value unary_op(const Value& x, float (*fwd)(float),
       });
 }
 
-float sigmoid_scalar(float v) { return 1.0f / (1.0f + std::exp(-v)); }
+using detail::sigmoid_scalar;
 
 }  // namespace
 
@@ -199,12 +199,7 @@ Value gelu(const Value& x) {
 
 Value softplus(const Value& x) {
   return unary_op(
-      x,
-      [](float v) {
-        // Overflow-safe: softplus(v) = max(v, 0) + log1p(exp(-|v|)).
-        return std::max(v, 0.0f) + std::log1p(std::exp(-std::abs(v)));
-      },
-      [](float in, float) { return sigmoid_scalar(in); });
+      x, &simd::softplus, [](float in, float) { return sigmoid_scalar(in); });
 }
 
 Value exp(const Value& x) {

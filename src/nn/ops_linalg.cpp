@@ -9,14 +9,8 @@
 #include "nn/op_helpers.hpp"
 #include "nn/ops.hpp"
 
-namespace sdmpeb::nn::ops {
+namespace sdmpeb::nn::detail {
 
-namespace {
-
-/// Raw (non-autograd) matrix product with optional transposed operand
-/// layouts: computes op(a) @ op(b) where op transposes the stored matrix
-/// when the flag is set. All four variants run on the shared packed GEMM
-/// core (common/gemm.hpp).
 Tensor matmul_raw(const Tensor& a, const Tensor& b, bool trans_a,
                   bool trans_b) {
   SDMPEB_CHECK(a.rank() == 2 && b.rank() == 2);
@@ -31,6 +25,14 @@ Tensor matmul_raw(const Tensor& a, const Tensor& b, bool trans_a,
              out.raw(), n, /*beta=*/0.0f);
   return out;
 }
+
+}  // namespace sdmpeb::nn::detail
+
+namespace sdmpeb::nn::ops {
+
+namespace {
+
+using detail::matmul_raw;
 
 void add_maybe_transposed(Tensor& dst, const Tensor& src, bool transpose) {
   if (!transpose) {

@@ -1,31 +1,86 @@
 #include <cmath>
+#include <memory>
+#include <vector>
 
+#include "common/arena.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
+#include "common/simd.hpp"
 #include "nn/op_helpers.hpp"
 #include "nn/ops.hpp"
 
 namespace sdmpeb::nn::ops {
 
-// Fused selective scan (see ops.hpp for the recurrence). The forward pass
-// stores the full hidden-state trajectory (L, C, N) so the backward pass is
-// a single reverse-time adjoint recurrence — O(L·C·N) time and memory, no
-// per-timestep graph nodes (DESIGN.md §4). Inner loops use raw row-major
-// indexing; shapes are validated once up front.
-Value selective_scan(const Value& x, const Value& delta, const Value& a_log,
-                     const Value& b, const Value& c, const Value& d_skip) {
+namespace {
+
+/// Channels per parallel task. Channel recurrences are independent and
+/// each runs whole inside one task, so any grain gives the same bits; a
+/// fixed one keeps the task count independent of the pool width.
+constexpr std::int64_t kChannelGrain = 4;
+
+/// Sequence rows per task when folding the cross-channel dB and dC sums.
+constexpr std::int64_t kRowGrain = 256;
+
+/// Raw operand pointers of one scan (see scan() for the Δ forms).
+simd::ScanArgs scan_args(const Value& x, const Value& delta,
+                         const Value& delta_col, const Value& delta_bias,
+                         const Tensor& a_neg, const Value& b, const Value& c,
+                         const Value& d_skip) {
+  simd::ScanArgs s;
+  s.seq_len = x->value().dim(0);
+  s.channels = x->value().dim(1);
+  s.states = a_neg.dim(1);
+  if (delta) {
+    s.delta = delta->value().raw();
+  } else {
+    s.delta_col = delta_col->value().raw();
+    s.delta_bias = delta_bias->value().raw();
+  }
+  s.x = x->value().raw();
+  s.a_neg = a_neg.raw();
+  s.b = b->value().raw();
+  s.c = c->value().raw();
+  s.d_skip = d_skip->value().raw();
+  return s;
+}
+
+// Fused selective scan (see ops.hpp for the recurrence). When some input
+// requires a gradient the forward stores the hidden-state trajectory
+// (L, C, N), so the backward pass is a single reverse-time adjoint
+// recurrence with no per-timestep graph nodes (DESIGN.md §4); inference
+// keeps only one state row per channel. `delta` is the (L, C) step-size
+// matrix, or null when `delta_col` (L, 1) and `delta_bias` (1, C) give
+// Δ = softplus(delta_col + delta_bias) inside the kernel (Eq. 11).
+Value scan(const Value& x, const Value& delta, const Value& delta_col,
+           const Value& delta_bias, const Value& a_log, const Value& b,
+           const Value& c, const Value& d_skip) {
   const Tensor& xv = x->value();
-  const Tensor& dv = delta->value();
   const Tensor& av = a_log->value();
   const Tensor& bv = b->value();
   const Tensor& cv = c->value();
   const Tensor& skipv = d_skip->value();
 
-  SDMPEB_CHECK(xv.rank() == 2 && dv.rank() == 2 && av.rank() == 2 &&
-               bv.rank() == 2 && cv.rank() == 2);
+  SDMPEB_CHECK(xv.rank() == 2 && av.rank() == 2 && bv.rank() == 2 &&
+               cv.rank() == 2);
   const auto seq_len = xv.dim(0);
   const auto channels = xv.dim(1);
   const auto states = av.dim(1);
-  SDMPEB_CHECK(dv.dim(0) == seq_len && dv.dim(1) == channels);
+  if (delta) {
+    const Tensor& dv = delta->value();
+    SDMPEB_CHECK(dv.rank() == 2 && dv.dim(0) == seq_len &&
+                 dv.dim(1) == channels);
+  } else {
+    const Tensor& colv = delta_col->value();
+    SDMPEB_CHECK_MSG(colv.rank() == 2 && colv.dim(0) == seq_len &&
+                         colv.dim(1) == 1,
+                     "selective_scan: delta column must be (L, 1), got "
+                         << colv.shape().to_string());
+    const Tensor& biasv = delta_bias->value();
+    SDMPEB_CHECK_MSG(biasv.rank() == 2 && biasv.dim(0) == 1 &&
+                         biasv.dim(1) == channels,
+                     "selective_scan: delta bias must be (1, " << channels
+                         << "), got " << biasv.shape().to_string());
+  }
   SDMPEB_CHECK(av.dim(0) == channels);
   SDMPEB_CHECK(bv.dim(0) == seq_len && bv.dim(1) == states);
   SDMPEB_CHECK(cv.dim(0) == seq_len && cv.dim(1) == states);
@@ -37,128 +92,120 @@ Value selective_scan(const Value& x, const Value& delta, const Value& a_log,
   for (std::int64_t i = 0; i < a_neg.numel(); ++i)
     a_neg[i] = -std::exp(av[i]);
 
-  Tensor out(Shape{seq_len, channels});
-  // Hidden-state trajectory saved for the adjoint pass.
-  auto hidden = std::make_shared<Tensor>(Shape{seq_len, channels, states});
+  std::vector<Value> parents = {x, delta, a_log, b, c, d_skip};
+  if (!delta) parents = {x, delta_col, delta_bias, a_log, b, c, d_skip};
+  const auto hidden =
+      any_requires_grad(parents)
+          ? std::make_shared<Tensor>(Shape{seq_len, channels, states})
+          : nullptr;
 
+  Tensor out(Shape{seq_len, channels});
   {
-    const float* px = xv.raw();
-    const float* pd = dv.raw();
-    const float* pb = bv.raw();
-    const float* pc = cv.raw();
-    const float* pskip = skipv.raw();
-    const float* pa = a_neg.raw();
-    float* ph = hidden->raw();
-    float* po = out.raw();
-    for (std::int64_t t = 0; t < seq_len; ++t) {
-      const float* brow = pb + t * states;
-      const float* crow = pc + t * states;
-      for (std::int64_t ch = 0; ch < channels; ++ch) {
-        const float dt = pd[t * channels + ch];
-        const float xt = px[t * channels + ch];
-        const float* arow = pa + ch * states;
-        const float* hprev =
-            t > 0 ? ph + ((t - 1) * channels + ch) * states : nullptr;
-        float* hcur = ph + (t * channels + ch) * states;
-        double y_acc = static_cast<double>(pskip[ch]) * xt;
-        for (std::int64_t n = 0; n < states; ++n) {
-          const float a_bar = std::exp(dt * arow[n]);
-          const float h_prev = hprev ? hprev[n] : 0.0f;
-          const float h = a_bar * h_prev + dt * brow[n] * xt;
-          hcur[n] = h;
-          y_acc += static_cast<double>(crow[n]) * h;
-        }
-        po[t * channels + ch] = static_cast<float>(y_acc);
-      }
-    }
+    const auto s = scan_args(x, delta, delta_col, delta_bias, a_neg, b, c,
+                             d_skip);
+    float* ph = hidden ? hidden->raw() : nullptr;
+    parallel::parallel_for(
+        0, channels, kChannelGrain, [&](std::int64_t c0, std::int64_t c1) {
+          auto& arena = WorkspaceArena::tls();
+          WorkspaceArena::Scope scope(arena);
+          simd::scan_forward(s, c0, c1, arena.floats((c1 - c0) * states),
+                             out.raw(), ph);
+        });
   }
 
-  Value xc = x, dc = delta, ac = a_log, bc = b, cc = c, skc = d_skip;
   return detail::make_result(
-      std::move(out), {x, delta, a_log, b, c, d_skip},
-      [xc, dc, ac, bc, cc, skc, hidden,
+      std::move(out), std::move(parents),
+      [x, delta, delta_col, delta_bias, a_log, b, c, d_skip, hidden,
        a_neg = std::move(a_neg)](Node& self) {
+        const auto s = scan_args(x, delta, delta_col, delta_bias, a_neg, b,
+                                 c, d_skip);
         const Tensor& g = self.grad();
-        const Tensor& xv = xc->value();
-        const Tensor& dv = dc->value();
-        const Tensor& bv = bc->value();
-        const Tensor& cv = cc->value();
-        const Tensor& skipv = skc->value();
-        const auto seq_len = xv.dim(0);
-        const auto channels = xv.dim(1);
-        const auto states = a_neg.dim(1);
+        const auto seq_len = s.seq_len;
+        const auto channels = s.channels;
+        const auto states = s.states;
 
-        const bool need_x = xc->requires_grad();
-        const bool need_d = dc->requires_grad();
-        const bool need_a = ac->requires_grad();
-        const bool need_b = bc->requires_grad();
-        const bool need_c = cc->requires_grad();
-        const bool need_skip = skc->requires_grad();
+        const bool need_b = b->requires_grad();
+        const bool need_c = c->requires_grad();
+        const bool need_col = !delta && delta_col->requires_grad();
+        const bool need_bias = !delta && delta_bias->requires_grad();
 
-        const float* pg = g.raw();
-        const float* px = xv.raw();
-        const float* pd = dv.raw();
-        const float* pb = bv.raw();
-        const float* pc = cv.raw();
-        const float* pskip = skipv.raw();
-        const float* pa = a_neg.raw();
-        const float* ph = hidden->raw();
-        float* pgx = need_x ? xc->grad().raw() : nullptr;
-        float* pgd = need_d ? dc->grad().raw() : nullptr;
-        float* pga = need_a ? ac->grad().raw() : nullptr;
-        float* pgb = need_b ? bc->grad().raw() : nullptr;
-        float* pgc = need_c ? cc->grad().raw() : nullptr;
-        float* pgskip = need_skip ? skc->grad().raw() : nullptr;
+        simd::ScanGrads grads;
+        if (x->requires_grad()) grads.x = x->grad().raw();
+        if (a_log->requires_grad()) grads.a_log = a_log->grad().raw();
+        if (d_skip->requires_grad()) grads.d_skip = d_skip->grad().raw();
+        Tensor d_delta;  // dL/dΔ of the fused form
+        if (delta) {
+          if (delta->requires_grad()) grads.delta = delta->grad().raw();
+        } else if (need_col || need_bias) {
+          d_delta = Tensor(Shape{seq_len, channels});
+          grads.delta = d_delta.raw();
+        }
+        Tensor b_terms;
+        if (need_b) {
+          b_terms = Tensor(Shape{seq_len, channels, states});
+          grads.b_terms = b_terms.raw();
+        }
 
-        // Running adjoint of the hidden state.
-        Tensor dh(Shape{channels, states});
-        float* pdh = dh.raw();
+        parallel::parallel_for(
+            0, channels, kChannelGrain,
+            [&](std::int64_t c0, std::int64_t c1) {
+              auto& arena = WorkspaceArena::tls();
+              WorkspaceArena::Scope scope(arena);
+              simd::scan_adjoint(s, c0, c1, hidden->raw(), g.raw(),
+                                 arena.floats((c1 - c0) * states), grads);
+            });
 
-        for (std::int64_t t = seq_len - 1; t >= 0; --t) {
-          const float* brow = pb + t * states;
-          const float* crow = pc + t * states;
-          for (std::int64_t ch = 0; ch < channels; ++ch) {
-            const float dy = pg[t * channels + ch];
-            const float dt = pd[t * channels + ch];
-            const float xt = px[t * channels + ch];
-            if (need_skip) pgskip[ch] += dy * xt;
-            const float* arow = pa + ch * states;
-            const float* hcur = ph + (t * channels + ch) * states;
-            const float* hprev =
-                t > 0 ? ph + ((t - 1) * channels + ch) * states : nullptr;
-            float* dhrow = pdh + ch * states;
-            double dx_acc = static_cast<double>(pskip[ch]) * dy;
-            double ddelta_acc = 0.0;
-            for (std::int64_t n = 0; n < states; ++n) {
-              // Output edge: y_t += C_t[n] * h_t[ch][n].
-              if (need_c) pgc[t * states + n] += dy * hcur[n];
-              float dh_cn = dhrow[n] + crow[n] * dy;
+        // dB and dC sum over channels: fold each row in ascending channel
+        // order, the order of the serial recurrence.
+        if (need_b || need_c) {
+          float* pgb = need_b ? b->grad().raw() : nullptr;
+          float* pgc = need_c ? c->grad().raw() : nullptr;
+          const float* pbt = b_terms.raw();
+          const float* ph = hidden->raw();
+          const float* pg = g.raw();
+          parallel::parallel_for(
+              0, seq_len, kRowGrain, [&](std::int64_t t0, std::int64_t t1) {
+                for (std::int64_t t = t0; t < t1; ++t)
+                  for (std::int64_t ch = 0; ch < channels; ++ch) {
+                    const float dy = pg[t * channels + ch];
+                    const auto row = (t * channels + ch) * states;
+                    for (std::int64_t n = 0; n < states; ++n) {
+                      if (pgc) pgc[t * states + n] += dy * ph[row + n];
+                      if (pgb) pgb[t * states + n] += pbt[row + n];
+                    }
+                  }
+              });
+        }
 
-              const float a_cn = arow[n];
-              const float a_bar = std::exp(dt * a_cn);
-              const float h_prev = hprev ? hprev[n] : 0.0f;
-
-              // h_t = a_bar * h_prev + dt * B_t[n] * x_t.
-              const float da_bar = dh_cn * h_prev;
-              ddelta_acc += static_cast<double>(da_bar) * a_cn * a_bar;
-              ddelta_acc += static_cast<double>(dh_cn) * brow[n] * xt;
-              dx_acc += static_cast<double>(dh_cn) * dt * brow[n];
-              if (need_b) pgb[t * states + n] += dh_cn * dt * xt;
-              if (need_a) {
-                // dA += da_bar * dt * a_bar; a_log grad = dA * dA/da_log
-                // with A = -exp(a_log) => dA/da_log = A.
-                pga[ch * states + n] += da_bar * dt * a_bar * a_cn;
-              }
-              // Pass the adjoint to h_{t-1}.
-              dhrow[n] = dh_cn * a_bar;
-            }
-            if (need_x)
-              pgx[t * channels + ch] += static_cast<float>(dx_acc);
-            if (need_d)
-              pgd[t * channels + ch] += static_cast<float>(ddelta_acc);
-          }
+        // Fused Δ: back through softplus (G = dΔ·σ(pre)), then the two
+        // broadcasts of Eq. 11 as the products the unfused graph ran,
+        // G @ 1ᵀ for the column and 1ᵀ @ G for the bias.
+        if (need_col || need_bias) {
+          for (std::int64_t t = 0; t < seq_len; ++t)
+            for (std::int64_t ch = 0; ch < channels; ++ch)
+              d_delta[t * channels + ch] *=
+                  detail::sigmoid_scalar(s.delta_col[t] + s.delta_bias[ch]);
+          if (need_col)
+            delta_col->grad() += detail::matmul_raw(
+                d_delta, Tensor::full(Shape{1, channels}, 1.0f), false, true);
+          if (need_bias)
+            delta_bias->grad() += detail::matmul_raw(
+                Tensor::full(Shape{seq_len, 1}, 1.0f), d_delta, true, false);
         }
       });
+}
+
+}  // namespace
+
+Value selective_scan(const Value& x, const Value& delta, const Value& a_log,
+                     const Value& b, const Value& c, const Value& d_skip) {
+  return scan(x, delta, Value{}, Value{}, a_log, b, c, d_skip);
+}
+
+Value selective_scan(const Value& x, const Value& delta_col,
+                     const Value& delta_bias, const Value& a_log,
+                     const Value& b, const Value& c, const Value& d_skip) {
+  return scan(x, Value{}, delta_col, delta_bias, a_log, b, c, d_skip);
 }
 
 }  // namespace sdmpeb::nn::ops

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "common/simd.hpp"
 #include "core/attention.hpp"
 #include "core/label_transform.hpp"
 #include "core/losses.hpp"
@@ -250,6 +253,37 @@ TEST(Attention, DepthSlicesAreIndependent) {
   for (std::int64_t l = 0; l < 4; ++l)
     for (std::int64_t c = 0; c < 4; ++c)
       EXPECT_FLOAT_EQ(y->value().at(l, c), y2->value().at(l, c));
+}
+
+TEST(Attention, BatchedSlicesMatchSingleSliceCalls) {
+  // The projections run once over all D slices; each slice's rows must
+  // equal a call on that slice alone, bit for bit, with and without the
+  // key/value reduction, with two heads, on each kernel backend.
+  const simd::Isa isa = simd::active();
+  std::vector<simd::Isa> backends = {simd::Isa::kScalar};
+  if (simd::cpu_has_avx2()) backends.push_back(simd::Isa::kAvx2);
+  Rng rng(14);
+  for (const simd::Isa backend : backends)
+    for (const std::int64_t reduction : {2, 1}) {
+      simd::set_active(backend);
+      EfficientSpatialSelfAttention attn(6, 2, reduction, rng);
+      constexpr std::int64_t kDepth = 3, kHeight = 2, kWidth = 4;
+      constexpr std::int64_t kRows = kHeight * kWidth;
+      const auto x =
+          nn::constant(Tensor::uniform(Shape{kDepth * kRows, 6}, rng));
+      const Tensor y = attn.forward(x, kDepth, kHeight, kWidth)->value();
+      for (std::int64_t d = 0; d < kDepth; ++d) {
+        const Tensor yd = attn.forward(nnops::narrow_rows(x, d * kRows, kRows),
+                                       1, kHeight, kWidth)
+                              ->value();
+        EXPECT_EQ(std::memcmp(yd.raw(), y.raw() + d * kRows * 6,
+                              sizeof(float) * kRows * 6),
+                  0)
+            << simd::isa_name(backend) << " r=" << reduction << " slice "
+            << d;
+      }
+    }
+  simd::set_active(isa);
 }
 
 TEST(Attention, RejectsIndivisibleReduction) {

@@ -124,6 +124,31 @@ TEST(OpErrors, SelectiveScanShapeMismatches) {
                Error);
 }
 
+TEST(OpErrors, FusedSelectiveScanShapeMismatches) {
+  const auto x = value_of({4, 2});
+  const auto col = value_of({4, 1});
+  const auto bias = value_of({1, 2});
+  const auto a_log = value_of({2, 3});
+  const auto b = value_of({4, 3});
+  const auto c = value_of({4, 3});
+  const auto d = value_of({2});
+  EXPECT_NO_THROW(nnops::selective_scan(x, col, bias, a_log, b, c, d));
+  // Column of the wrong length, or more than one column.
+  EXPECT_THROW(nnops::selective_scan(x, value_of({5, 1}), bias, a_log, b, c, d),
+               Error);
+  EXPECT_THROW(nnops::selective_scan(x, value_of({4, 2}), bias, a_log, b, c, d),
+               Error);
+  // Bias not (1, C).
+  EXPECT_THROW(nnops::selective_scan(x, col, value_of({1, 3}), a_log, b, c, d),
+               Error);
+  EXPECT_THROW(nnops::selective_scan(x, col, value_of({2}), a_log, b, c, d),
+               Error);
+  // The checks shared with the unfused form still run.
+  EXPECT_THROW(nnops::selective_scan(x, col, bias, a_log, value_of({5, 3}), c,
+                                     d),
+               Error);
+}
+
 TEST(OpErrors, SpectralConvNeedsPowerOfTwoDims) {
   EXPECT_THROW(
       nnops::spectral_conv3d(value_of({1, 3, 4, 4}),

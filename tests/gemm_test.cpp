@@ -13,6 +13,7 @@
 #include "gradcheck.hpp"
 #include "nn/ops.hpp"
 #include "oracle.hpp"
+#include "test_util.hpp"
 
 namespace sdmpeb {
 namespace {
@@ -20,7 +21,10 @@ namespace {
 namespace nnops = nn::ops;
 using nn::Value;
 using sdmpeb::testing::expect_gradients_match;
+using sdmpeb::testing::expect_close;
 using sdmpeb::testing::expect_steady_state_no_alloc;
+using sdmpeb::testing::random_tensor;
+using sdmpeb::testing::random_vec;
 
 /// Restores thread count and kernel backend after each test so ordering
 /// cannot leak state. The kernel backend is pinned to scalar for the
@@ -41,13 +45,6 @@ class GemmTest : public ::testing::Test {
   int threads_ = 1;
   simd::Isa isa_ = simd::Isa::kScalar;
 };
-
-std::vector<float> random_vec(std::int64_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<float> v(static_cast<std::size_t>(n));
-  for (auto& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
-  return v;
-}
 
 /// Run the packed GEMM and the naive oracle on identical inputs and require
 /// the outputs to be BITWISE equal (the DESIGN.md §8 contract).
@@ -160,20 +157,6 @@ TEST_F(GemmTest, DegenerateKScalesC) {
 // and precisions (float panels vs double scalars), so agreement is to a
 // relative tolerance, not bitwise.
 // ---------------------------------------------------------------------------
-
-Tensor random_tensor(Shape shape, std::uint64_t seed) {
-  Rng rng(seed);
-  return Tensor::uniform(std::move(shape), rng, -1.0f, 1.0f);
-}
-
-void expect_close(const Tensor& got, const Tensor& want, float tol) {
-  ASSERT_EQ(got.numel(), want.numel());
-  for (std::int64_t i = 0; i < got.numel(); ++i) {
-    const float scale =
-        std::max({1.0f, std::abs(got[i]), std::abs(want[i])});
-    EXPECT_NEAR(got[i], want[i], tol * scale) << "element " << i;
-  }
-}
 
 constexpr float kConvTol = 1e-4f;
 

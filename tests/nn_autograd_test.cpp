@@ -2,18 +2,14 @@
 
 #include "gradcheck.hpp"
 #include "nn/ops.hpp"
+#include "test_util.hpp"
 
 namespace sdmpeb::nn {
 namespace {
 
 namespace nnops = ops;
 using sdmpeb::testing::expect_gradients_match;
-
-Tensor random_tensor(Shape shape, std::uint64_t seed, float lo = -1.0f,
-                     float hi = 1.0f) {
-  Rng rng(seed);
-  return Tensor::uniform(std::move(shape), rng, lo, hi);
-}
+using sdmpeb::testing::random_tensor;
 
 TEST(Autograd, BackwardRequiresScalarRoot) {
   auto x = make_value(Tensor(Shape{2}, 1.0f), true);
@@ -288,6 +284,29 @@ TEST(GradCheck, SelectiveScan) {
        random_tensor(Shape{seq, states}, 48),
        random_tensor(Shape{channels}, 49)},
       1e-2, 3e-2);
+}
+
+// Eq. 11 fused into the scan: the (L, 1) column and the (1, C) bias get
+// their gradients through softplus and the broadcasts, at N = 8 (the AVX2
+// kernel's register width) and N = 4.
+TEST(GradCheck, SelectiveScanFusedDelta) {
+  const std::int64_t seq = 5, channels = 3;
+  for (const std::int64_t states : {8, 4}) {
+    SCOPED_TRACE(::testing::Message() << "N=" << states);
+    expect_gradients_match(
+        [](const std::vector<Value>& v) {
+          return nnops::sum(nnops::square(nnops::selective_scan(
+              v[0], v[1], v[2], v[3], v[4], v[5], v[6])));
+        },
+        {random_tensor(Shape{seq, channels}, 61),
+         random_tensor(Shape{seq, 1}, 62, -2.0f, 1.0f),
+         random_tensor(Shape{1, channels}, 63, -1.5f, 0.5f),
+         random_tensor(Shape{channels, states}, 64, -1.0f, 0.5f),
+         random_tensor(Shape{seq, states}, 65),
+         random_tensor(Shape{seq, states}, 66),
+         random_tensor(Shape{channels}, 67)},
+        1e-2, 3e-2);
+  }
 }
 
 TEST(GradCheck, SpectralConv3d) {

@@ -3,20 +3,26 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "nn/ops.hpp"
 #include "nn/value.hpp"
 #include "peb/peb_solver.hpp"
 #include "tensor/grid3.hpp"
+#include "test_util.hpp"
 
 namespace sdmpeb {
 namespace {
 
 namespace nnops = nn::ops;
 using nn::Value;
+using sdmpeb::testing::expect_bitwise;
+using sdmpeb::testing::random_tensor;
+using sdmpeb::testing::run_scan;
 
 /// Restores the pool width chosen by SDMPEB_THREADS when a test that sweeps
 /// widths finishes, so test order cannot leak state.
@@ -129,11 +135,6 @@ TEST_F(ParallelTest, ReduceFoldsPartialsInChunkOrder) {
 // Determinism: a full training step reproduces bit-for-bit across widths.
 // ---------------------------------------------------------------------------
 
-Tensor random_tensor(Shape shape, std::uint64_t seed) {
-  Rng rng(seed);
-  return Tensor::uniform(std::move(shape), rng, -1.0f, 1.0f);
-}
-
 /// One synthetic "training step" exercising every parallelised kernel
 /// family: dense conv fwd/bwd, depthwise convs, matmul, layer norm, softmax,
 /// spectral conv (FFT path), elementwise and reductions. Returns the loss
@@ -187,6 +188,37 @@ TEST_F(ParallelTest, TrainingStepBitwiseIdenticalAcrossThreadCounts) {
       ASSERT_EQ(serial[i], threaded[i])
           << "grad element " << i << " differs at " << threads << " threads";
   }
+}
+
+// The selective scan runs channel blocks on the pool, forward and adjoint,
+// and folds the cross-channel dB and dC sums over row blocks: output and
+// every gradient must match pool width 1 bit for bit, on each backend, for
+// the fused and the unfused Δ, at N = 8 (one AVX2 register) and N = 4.
+TEST_F(ParallelTest, SelectiveScanBitwiseIdenticalAcrossThreadCounts) {
+  const simd::Isa isa = simd::active();
+  std::vector<simd::Isa> backends = {simd::Isa::kScalar};
+  if (simd::cpu_has_avx2()) backends.push_back(simd::Isa::kAvx2);
+  for (const simd::Isa backend : backends) {
+    simd::set_active(backend);
+    for (const std::int64_t states : {8, 4})
+      for (const bool fused : {true, false}) {
+        SCOPED_TRACE(::testing::Message()
+                     << simd::isa_name(backend) << " N=" << states
+                     << (fused ? " fused" : " unfused"));
+        parallel::set_thread_count(1);
+        const auto serial = run_scan(states, fused, true);
+        for (int threads : {2, 3, 4}) {
+          parallel::set_thread_count(threads);
+          const auto threaded = run_scan(states, fused, true);
+          expect_bitwise(threaded.out, serial.out, "out");
+          ASSERT_EQ(threaded.grads.size(), serial.grads.size());
+          for (std::size_t i = 0; i < serial.grads.size(); ++i)
+            expect_bitwise(threaded.grads[i], serial.grads[i],
+                           "grad " + std::to_string(i));
+        }
+      }
+  }
+  simd::set_active(isa);
 }
 
 Grid3 peb_fingerprint() {

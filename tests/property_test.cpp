@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/label_transform.hpp"
 #include "core/sdm_unit.hpp"
@@ -80,6 +81,12 @@ struct TransformCase {
   double offset;
   double scale;
 };
+
+/// Names each instance by its values (e.g. kc0.9_offset6_scale0.25), not
+/// by the struct's raw bytes.
+void PrintTo(const TransformCase& c, std::ostream* os) {
+  *os << "kc" << c.kc << "_offset" << c.offset << "_scale" << c.scale;
+}
 
 class LabelTransformPropertyTest
     : public ::testing::TestWithParam<TransformCase> {};

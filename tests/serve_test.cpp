@@ -164,6 +164,42 @@ TEST_F(ServeTest, FrozenInferenceIsArenaStableAfterWarmup) {
   expect_steady_state_no_alloc([] { (void)frozen_->infer(good_acid()); });
 }
 
+TEST_F(ServeTest, DefaultForwardFitsTheTracedServingSpanRing) {
+  // e2ebench's traced serve_open_loop run gives each thread a
+  // 262,144-span ring and drains it once per phase; its overload phase
+  // sends 304 requests, all served on the one batcher thread. One default
+  // 16x32x32 forward may therefore record at most 262,144 / 304 = 862
+  // spans on the thread that runs it, or the run drops spans and fails.
+  constexpr std::size_t kRingSpans = 262144;
+  constexpr std::size_t kOverloadRequests = 304;
+  constexpr std::size_t kSpanBudget = kRingSpans / kOverloadRequests;
+  static_assert(kSpanBudget == 862);
+
+  const std::string ckpt = (*dir_ / "default.ckpt").string();
+  Rng rng(5);
+  nn::save_parameters(
+      *serve::make_peb_net("sdm", serve::ModelScale::kDefault, rng), ckpt);
+  const serve::FrozenModel model("sdm", serve::ModelScale::kDefault, ckpt,
+                                 Shape{16, 32, 32});
+  const Tensor acid = Tensor::uniform(Shape{16, 32, 32}, rng, 0.0f, 1.0f);
+
+  const bool was_tracing = obs::trace_enabled();
+  obs::clear_spans();
+  obs::set_trace_enabled(true);
+  std::thread forward([&] {
+    obs::set_thread_name("span-budget");
+    (void)model.infer(acid);
+  });
+  forward.join();
+  obs::set_trace_enabled(was_tracing);
+  std::size_t spans = 0;
+  for (const auto& span : obs::collect_spans())
+    if (span.thread_name == "span-budget") ++spans;
+  obs::clear_spans();
+  EXPECT_GT(spans, 0u);
+  EXPECT_LE(spans, kSpanBudget);
+}
+
 // ---------------------------------------------------------------------------
 // Wire protocol
 

@@ -19,12 +19,18 @@
 #include "peb/peb_solver.hpp"
 #include "peb/tridiag.hpp"
 #include "tensor/tensor.hpp"
+#include "test_util.hpp"
 
 namespace sdmpeb {
 namespace {
 
 namespace nnops = nn::ops;
 using nn::Value;
+using sdmpeb::testing::expect_bitwise;
+using sdmpeb::testing::expect_close;
+using sdmpeb::testing::random_tensor;
+using sdmpeb::testing::random_vec;
+using sdmpeb::testing::run_scan;
 
 /// Restores thread count and kernel backend after each test.
 class SimdTest : public ::testing::Test {
@@ -50,34 +56,6 @@ void for_each_backend(const std::function<void(simd::Isa)>& body) {
     simd::set_active(simd::Isa::kAvx2);
     body(simd::Isa::kAvx2);
   }
-}
-
-std::vector<float> random_vec(std::int64_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<float> v(static_cast<std::size_t>(n));
-  for (auto& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
-  return v;
-}
-
-Tensor random_tensor(Shape shape, std::uint64_t seed) {
-  Rng rng(seed);
-  return Tensor::uniform(std::move(shape), rng, -1.0f, 1.0f);
-}
-
-void expect_bitwise(const Tensor& a, const Tensor& b, const char* what) {
-  ASSERT_EQ(a.numel(), b.numel());
-  EXPECT_EQ(std::memcmp(a.raw(), b.raw(),
-                        static_cast<std::size_t>(a.numel()) * sizeof(float)),
-            0)
-      << what;
-}
-
-void expect_close(const Tensor& a, const Tensor& b, float tol,
-                  const char* what) {
-  ASSERT_EQ(a.numel(), b.numel());
-  for (std::int64_t i = 0; i < a.numel(); ++i)
-    ASSERT_NEAR(a[i], b[i], tol * std::max(1.0f, std::abs(a[i])))
-        << what << " at " << i;
 }
 
 // ---------------------------------------------------------------------------
@@ -333,9 +311,9 @@ void expect_run_bitwise_across_threads(DwconvRun (*run)(), const char* what) {
     parallel::set_thread_count(3);
     const auto r3 = run();
     const std::string tag = std::string(what) + " " + simd::isa_name(isa);
-    expect_bitwise(r1.out, r3.out, (tag + " out").c_str());
-    expect_bitwise(r1.gx, r3.gx, (tag + " gx").c_str());
-    expect_bitwise(r1.gw, r3.gw, (tag + " gw").c_str());
+    expect_bitwise(r1.out, r3.out, tag + " out");
+    expect_bitwise(r1.gx, r3.gx, tag + " gx");
+    expect_bitwise(r1.gw, r3.gw, tag + " gw");
   });
 }
 
@@ -347,9 +325,9 @@ void expect_run_close_across_backends(DwconvRun (*run)(), float tol,
   simd::set_active(simd::Isa::kAvx2);
   const auto rv = run();
   const std::string tag = what;
-  expect_close(rs.out, rv.out, tol, (tag + " out").c_str());
-  expect_close(rs.gx, rv.gx, tol, (tag + " gx").c_str());
-  expect_close(rs.gw, rv.gw, tol, (tag + " gw").c_str());
+  expect_close(rs.out, rv.out, tol, tag + " out");
+  expect_close(rs.gx, rv.gx, tol, tag + " gx");
+  expect_close(rs.gw, rv.gw, tol, tag + " gw");
 }
 
 TEST_F(SimdTest, Dwconv3dBitwiseDeterministicPerBackend) {
@@ -374,6 +352,88 @@ TEST_F(SimdTest, Dwconv1dBackendsAgreeWithinTolerance) {
 
 TEST_F(SimdTest, LayerNormBackendsAgreeWithinTolerance) {
   expect_run_close_across_backends(&run_layer_norm, 1e-4f, "layer_norm");
+}
+
+// ---------------------------------------------------------------------------
+// Selective scan: the AVX2 kernel (N = 8, 8-lane exp, FMA) against the
+// scalar reference, the trajectory-free inference path against the stored
+// trajectory, and the fused Δ against the unfused graph it replaces.
+// ---------------------------------------------------------------------------
+
+/// Cross-backend tolerance of the scan, relative to max(1, |value|). The
+/// 8-lane exp is within 2 ulp of std::exp and the state update is one FMA;
+/// the largest difference seen here is about 1e-6 relative.
+constexpr float kScanTol = 1e-4f;
+
+TEST_F(SimdTest, ScanTrajectoryFreeMatchesTrajectoryPath) {
+  for_each_backend([&](simd::Isa isa) {
+    for (const std::int64_t states : {8, 4})
+      for (const bool fused : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << simd::isa_name(isa) << " N="
+                                          << states << " fused=" << fused);
+        expect_bitwise(run_scan(states, fused, false).out,
+                       run_scan(states, fused, true).out);
+      }
+  });
+}
+
+TEST_F(SimdTest, ScanBackendsAgreeWithinTolerance) {
+  if (!simd::cpu_has_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  for (const std::int64_t states : {8, 4})
+    for (const bool fused : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "N=" << states
+                                        << " fused=" << fused);
+      simd::set_active(simd::Isa::kScalar);
+      const auto rs = run_scan(states, fused, true);
+      simd::set_active(simd::Isa::kAvx2);
+      const auto rv = run_scan(states, fused, true);
+      expect_close(rv.out, rs.out, kScanTol, "out");
+      for (std::size_t i = 0; i < rs.grads.size(); ++i)
+        expect_close(rv.grads[i], rs.grads[i], kScanTol,
+                     "grad " + std::to_string(i));
+    }
+}
+
+// The unfused Eq. 11 broadcasts Δ's column and bias with K = 1 matmuls,
+// adds and applies softplus. Those matmuls only copy values, so the fused
+// op reproduces the graph's output and every gradient bit for bit.
+TEST_F(SimdTest, ScanFusedDeltaMatchesUnfusedGraph) {
+  constexpr std::int64_t kLen = 50, kChannels = 6, kStates = 8;
+  const std::vector<Tensor> inputs = {
+      random_tensor(Shape{kLen, kChannels}, 81),
+      random_tensor(Shape{kLen, 1}, 82, -3.0f, 1.0f),
+      random_tensor(Shape{1, kChannels}, 83, -2.0f, 0.0f),
+      random_tensor(Shape{kChannels, kStates}, 84, -0.5f, 2.0f),
+      random_tensor(Shape{kLen, kStates}, 85),
+      random_tensor(Shape{kLen, kStates}, 86),
+      random_tensor(Shape{kChannels}, 87)};
+  const auto run = [&](bool fused) {
+    std::vector<Value> v;
+    for (const auto& t : inputs) v.push_back(nn::make_value(t, true));
+    Value y;
+    if (fused) {
+      y = nnops::selective_scan(v[0], v[1], v[2], v[3], v[4], v[5], v[6]);
+    } else {
+      const auto ones_row =
+          nn::constant(Tensor::full(Shape{1, kChannels}, 1.0f));
+      const auto ones_col = nn::constant(Tensor::full(Shape{kLen, 1}, 1.0f));
+      const auto delta = nnops::softplus(nnops::add(
+          nnops::matmul(v[1], ones_row), nnops::matmul(ones_col, v[2])));
+      y = nnops::selective_scan(v[0], delta, v[3], v[4], v[5], v[6]);
+    }
+    nn::backward(nnops::sum(nnops::square(y)));
+    std::vector<Tensor> result = {y->value()};
+    for (const auto& leaf : v) result.push_back(leaf->grad());
+    return result;
+  };
+  for_each_backend([&](simd::Isa isa) {
+    const auto fused = run(true);
+    const auto unfused = run(false);
+    for (std::size_t i = 0; i < fused.size(); ++i)
+      expect_bitwise(fused[i], unfused[i],
+                     std::string(simd::isa_name(isa)) + " tensor " +
+                         std::to_string(i));
+  });
 }
 
 // ---------------------------------------------------------------------------
