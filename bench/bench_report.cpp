@@ -156,10 +156,12 @@ std::vector<Kernel> kernel_set() {
     for (auto& v : acid0.data()) v = rng.uniform(0.0, 0.9);
     auto state =
         std::make_shared<peb::PebState>(solver->initial_state(acid0));
+    // The second buffer set run() keeps for the whole bake.
+    auto scratch = std::make_shared<peb::PebState>();
     // 3 tridiagonal sweeps x ~8 flops/voxel plus the reaction halves.
     kernels.push_back({"peb_step_adi_64", 3.0 * 8.0 * 16 * 64 * 64 +
                                               2.0 * 12.0 * 16 * 64 * 64,
-                       [=] { solver->step(*state); }});
+                       [=] { solver->step(*state, *scratch); }});
   }
   {
     const std::int64_t seq = 1024, channels = 32, states = 8;

@@ -8,7 +8,8 @@
 //   io.write      atomic_write_file aborts mid-payload (truncated temp file)
 //   io.bitflip    one payload bit flipped before the write (CRC must catch)
 //   grad.nan      trainer poisons one accumulated gradient with a NaN
-//   peb.diverge   PEB solver poisons one field cell after a sweep
+//   peb.diverge   PEB solver poisons one acid cell after the diffusion
+//                 sweep (the closing reaction pass's guard must see it)
 //   serve.slow_infer       serving batcher stalls one forward (backlog)
 //   serve.queue_reject     one admission rejected as if the queue were full
 //   serve.corrupt_request  one request payload value poisoned with a NaN

@@ -101,9 +101,14 @@ GemmTileFn gemm_tile_16() {
   return nullptr;
 }
 
-TridiagLines4Fn tridiag_lines4() {
+TridiagLinesFn tridiag_lines(int lanes) {
 #if SDMPEB_SIMD_X86
-  if (active() == Isa::kAvx2) return &avx2::tridiag_lines4;
+  if (active() == Isa::kAvx2) {
+    if (lanes == 8) return &avx2::tridiag_lines<2>;
+    if (lanes == 4) return &avx2::tridiag_lines<1>;
+  }
+#else
+  (void)lanes;
 #endif
   return nullptr;
 }
@@ -280,6 +285,54 @@ void dwconv1d_interior_row(float* orow, const float* x, const float* w,
       acc += static_cast<double>(x[k * cols + c]) * wrow[k];
     orow[c] = static_cast<float>(acc);
   }
+}
+
+// ----------------------------- PEB reaction --------------------------------
+
+bool peb_reaction(const PebReaction& r, std::int64_t i0, std::int64_t i1) {
+#if SDMPEB_SIMD_X86
+  if (active() == Isa::kAvx2) return avx2::peb_reaction(r, i0, i1);
+#endif
+  const double kr = r.kr;
+  const double kc = r.kc;
+  const double dt = r.dt;
+  bool ok = true;
+  for (std::int64_t i = i0; i < i1; ++i) {
+    const double a0 = r.acid_in[i];
+    const double b0 = r.base_in[i];
+
+    // Catalytic deprotection, Eq. (1): for frozen [A] over the sub-step the
+    // exact solution is I(t) = I0 * exp(-kc * A * t). Freezing [A] at its
+    // pre-neutralisation value a0 makes this update first order in dt
+    // (measured order 1.02-1.12 against RK4); the Strang wrapper does not
+    // lift it to second order. ROADMAP.md item 2 replaces it with the exact
+    // reaction flow.
+    const double inh1 = r.inhibitor_in[i] * std::exp(-kc * a0 * dt);
+
+    // Acid–base neutralisation: dA/dt = dB/dt = -kr * A * B, so u = A - B
+    // is invariant and A(t) = u * A0 / (A0 - B0 * exp(-kr * u * t)); the
+    // symmetric limit u -> 0 gives A(t) = A0 / (1 + kr * A0 * t).
+    const double u = a0 - b0;
+    double a1;
+    if (std::abs(u) < 1e-12) {
+      a1 = a0 / (1.0 + kr * a0 * dt);
+    } else {
+      const double decay = std::exp(-kr * u * dt);
+      a1 = u * a0 / (a0 - b0 * decay);
+    }
+    // Guard against rounding pushing concentrations slightly negative.
+    a1 = std::max(a1, 0.0);
+    const double b1 = std::max(a1 - u, 0.0);
+    r.inhibitor_out[i] = inh1;
+    r.acid_out[i] = a1;
+    r.base_out[i] = b1;
+    // One compare per value catches NaN (comparisons with NaN are false)
+    // and +/-Inf alongside genuine runaway magnitudes.
+    if (r.check && !(std::abs(a1) <= r.limit && std::abs(b1) <= r.limit &&
+                     std::abs(inh1) <= r.limit))
+      ok = false;
+  }
+  return ok;
 }
 
 // --------------------------- selective scan --------------------------------

@@ -12,12 +12,12 @@
 //   - Within one backend, every kernel fixes its intra-element accumulation
 //     order, so results are bitwise identical at any SDMPEB_THREADS.
 //   - The elementwise kernels (vadd/vsub/vmul/vscale/vaxpy/vmul_add, relu,
-//     leaky_relu) perform the same correctly-rounded IEEE op sequence in
-//     both backends — no FMA contraction — so they are bitwise identical
-//     ACROSS backends too.
-//   - GEMM, depthwise conv, layer norm, the ADI line solves and the
-//     selective scan change the accumulation shape under AVX2 (FMA,
-//     lane-split sums, an 8-lane exp); those are tolerance-checked
+//     leaky_relu) and the ADI line solves perform the same correctly-rounded
+//     IEEE op sequence in both backends — no FMA contraction — so they are
+//     bitwise identical ACROSS backends too.
+//   - GEMM, depthwise conv, layer norm, the selective scan and the PEB
+//     reaction change the accumulation shape or the exp under AVX2 (FMA,
+//     lane-split sums, vector exps); those are tolerance-checked
 //     cross-backend and bitwise only within a backend.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define SDMPEB_SIMD_X86 1
@@ -154,25 +154,60 @@ void dwconv1d_interior_row(float* orow, const float* x, const float* w,
 
 // ---------------------------------------------------------------------------
 // ADI tridiagonal line batches. The Thomas recurrence is serial along one
-// line, so the AVX2 kernel vectorizes ACROSS four independent lines that
-// share one prefactored band set (peb/tridiag.hpp). Lane l element i lives
-// at data[i * elem_stride + l * lane_stride].
+// line, so the AVX2 kernel vectorizes ACROSS independent lines that share
+// one prefactored band set (peb/tridiag.hpp): four lines per vector, and
+// with eight lines two vectors step together, so one group's division chain
+// runs while the other's waits. Lane l element i lives at
+// data[i * elem_stride + l * lane_stride].
 // ---------------------------------------------------------------------------
 
-/// Four-lane fused forward/back substitution: rhs read from the grid
-/// (rhs0_add folded into element 0 of every lane — the Robin source term),
-/// solutions clamped at >= 0 (NaN propagates) and written back in place.
-/// c = sup/denom and denom are the shared prefactored coefficients; sub is
-/// the subdiagonal band. d4 is 4*n doubles of lane-interleaved scratch.
-using TridiagLines4Fn = void (*)(const double* c, const double* denom,
-                                 const double* sub, std::int64_t n,
-                                 double* data, std::int64_t elem_stride,
-                                 std::int64_t lane_stride, double rhs0_add,
-                                 double* d4);
+/// Fused forward/back substitution over a fixed lane count: rhs read from
+/// the grid (rhs0_add folded into element 0 of every lane — the Robin source
+/// term), solutions clamped at >= 0 (NaN propagates) and written back in
+/// place. c = sup/denom and denom are the shared prefactored coefficients;
+/// sub is the subdiagonal band. d is lanes*n doubles of lane-interleaved
+/// scratch.
+using TridiagLinesFn = void (*)(const double* c, const double* denom,
+                                const double* sub, std::int64_t n,
+                                double* data, std::int64_t elem_stride,
+                                std::int64_t lane_stride, double rhs0_add,
+                                double* d);
 
-/// The AVX2 4-lane solver when that backend is active, else nullptr
-/// (callers run the scalar per-lane substitution).
-TridiagLines4Fn tridiag_lines4();
+/// The AVX2 solver for exactly `lanes` lines (4 or 8) when that backend is
+/// active, else nullptr (callers run the scalar per-lane substitution).
+TridiagLinesFn tridiag_lines(int lanes);
+
+// ---------------------------------------------------------------------------
+// PEB reaction (peb/peb_solver.cpp). One pointwise pass advances the
+// acid-base neutralisation and the catalytic deprotection of each voxel by
+// dt and, when asked, reports whether every value it wrote stayed finite
+// and bounded: the solver's divergence guard rides along with the pass. The
+// scalar backend is the historical loop op for op; AVX2 runs four voxels
+// per vector in the same IEEE op order except for a 4-lane double exp, so
+// it is tolerance-checked against scalar.
+// ---------------------------------------------------------------------------
+
+/// Operands of one reaction pass. The *_out buffers are either the *_in
+/// buffers (in place) or a disjoint set.
+struct PebReaction {
+  const double* acid_in = nullptr;
+  const double* base_in = nullptr;
+  const double* inhibitor_in = nullptr;
+  double* acid_out = nullptr;
+  double* base_out = nullptr;
+  double* inhibitor_out = nullptr;
+  double kr = 0.0;  ///< neutralisation coefficient k_r (1/s)
+  double kc = 0.0;  ///< catalysis coefficient k_c (1/s)
+  double dt = 0.0;  ///< sub-step length (s)
+  /// When set, the pass checks !(|v| <= limit) for every value it writes;
+  /// NaN and +/-Inf always fail.
+  bool check = false;
+  double limit = 0.0;
+};
+
+/// Advance voxels [i0, i1). Returns false when `check` is set and a written
+/// value failed the bound, else true.
+bool peb_reaction(const PebReaction& r, std::int64_t i0, std::int64_t i1);
 
 // ---------------------------------------------------------------------------
 // Selective scan (nn/ops_scan.cpp). One call runs a block of channels over
@@ -269,9 +304,21 @@ void dwconv3d_interior_row(float* orow, std::int64_t ow_lo, std::int64_t ow_hi,
 void dwconv1d_interior_row(float* orow, const float* x, const float* wt,
                            const float* pb, std::int64_t cols,
                            std::int64_t kernel);
-void tridiag_lines4(const double* c, const double* denom, const double* sub,
-                    std::int64_t n, double* data, std::int64_t elem_stride,
-                    std::int64_t lane_stride, double rhs0_add, double* d4);
+/// The ADI substitution over kGroups groups of four lanes; one body,
+/// instantiated for 1 and 2 groups in simd_avx2.cpp.
+template <int kGroups>
+void tridiag_lines(const double* c, const double* denom, const double* sub,
+                   std::int64_t n, double* data, std::int64_t elem_stride,
+                   std::int64_t lane_stride, double rhs0_add, double* d);
+extern template void tridiag_lines<1>(const double*, const double*,
+                                      const double*, std::int64_t, double*,
+                                      std::int64_t, std::int64_t, double,
+                                      double*);
+extern template void tridiag_lines<2>(const double*, const double*,
+                                      const double*, std::int64_t, double*,
+                                      std::int64_t, std::int64_t, double,
+                                      double*);
+bool peb_reaction(const PebReaction& r, std::int64_t i0, std::int64_t i1);
 /// The scan kernels at N = 8 (ScanArgs::states must be 8).
 void scan_forward8(const ScanArgs& s, std::int64_t c0, std::int64_t c1,
                    float* state, float* out, float* hidden);

@@ -78,6 +78,50 @@ inline __m256 exp8(__m256 x) {
   return _mm256_mul_ps(p, _mm256_castsi256_ps(scale));
 }
 
+/// 4-lane double e^x, within about 1 ulp of std::exp: Cody-Waite reduction
+/// x = k ln2 + r with the split ln2 (exact k * ln2_hi under FMA), |r| <=
+/// ln2/2, the degree-13 Taylor polynomial of e^r (truncation below 1e-17
+/// relative) by FMA Horner, and 2^k applied as two exponent-bit factors so
+/// the whole double range is covered: inputs above 709.8 overflow to +Inf,
+/// inputs below -745.2 underflow to 0, like std::exp. The clamps keep NaN
+/// (min/max return their second operand on unordered input).
+inline __m256d exp4d(__m256d x) {
+  x = _mm256_min_pd(_mm256_set1_pd(710.0), x);
+  x = _mm256_max_pd(_mm256_set1_pd(-746.0), x);
+  const __m256d k = _mm256_round_pd(
+      _mm256_mul_pd(x, _mm256_set1_pd(1.4426950408889634)),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  constexpr double kLn2Hi = 6.93147180369123816490e-01;
+  constexpr double kLn2Lo = 1.90821492927058770002e-10;
+  __m256d r = _mm256_fnmadd_pd(k, _mm256_set1_pd(kLn2Hi), x);
+  r = _mm256_fnmadd_pd(k, _mm256_set1_pd(kLn2Lo), r);
+  __m256d p = _mm256_set1_pd(1.0 / 6227020800.0);  // 1/13!
+  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0 / 479001600.0));
+  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0 / 39916800.0));
+  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0 / 3628800.0));
+  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0 / 362880.0));
+  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0 / 40320.0));
+  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0 / 5040.0));
+  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0 / 720.0));
+  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0 / 120.0));
+  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0 / 24.0));
+  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0 / 6.0));
+  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(0.5));
+  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0));
+  p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0));
+  // k is integral and within [-1076, 1024]: split it so each half's
+  // biased exponent stays in the normal range.
+  const __m128i ki = _mm256_cvtpd_epi32(k);
+  const __m128i k_lo = _mm_srai_epi32(ki, 1);
+  const auto pow2 = [](__m128i e) {
+    return _mm256_castsi256_pd(_mm256_slli_epi64(
+        _mm256_add_epi64(_mm256_cvtepi32_epi64(e), _mm256_set1_epi64x(1023)),
+        52));
+  };
+  return _mm256_mul_pd(_mm256_mul_pd(p, pow2(k_lo)),
+                       pow2(_mm_sub_epi32(ki, k_lo)));
+}
+
 /// Δ[t, ch] of the scan (ScanArgs). softplus stays the out-of-line scalar
 /// map, so both backends see the same step sizes.
 inline float delta_at(const ScanArgs& s, std::int64_t t, std::int64_t ch) {
@@ -443,22 +487,25 @@ void dwconv1d_interior_row(float* orow, const float* x, const float* wt,
 
 // ------------------------------ ADI lines ----------------------------------
 
-void tridiag_lines4(const double* c, const double* denom, const double* sub,
-                    std::int64_t n, double* data, std::int64_t elem_stride,
-                    std::int64_t lane_stride, double rhs0_add, double* d4) {
+template <int kGroups>
+void tridiag_lines(const double* c, const double* denom, const double* sub,
+                   std::int64_t n, double* data, std::int64_t elem_stride,
+                   std::int64_t lane_stride, double rhs0_add, double* d) {
+  constexpr std::int64_t kLanes = 4 * kGroups;
   const bool contiguous = lane_stride == 1;
-  const auto load_lanes = [&](std::int64_t i) {
-    const double* p = data + i * elem_stride;
+  // Group g holds lanes 4g..4g+3.
+  const auto load_lanes = [&](std::int64_t i, int g) {
+    const double* p = data + i * elem_stride + 4 * g * lane_stride;
     if (contiguous) return _mm256_loadu_pd(p);
     return _mm256_set_pd(p[3 * lane_stride], p[2 * lane_stride],
                          p[lane_stride], p[0]);
   };
   const __m256d zero = _mm256_setzero_pd();
-  const auto store_lanes_clamped = [&](std::int64_t i, __m256d v) {
+  const auto store_lanes_clamped = [&](std::int64_t i, int g, __m256d v) {
     // max_pd(0, x) keeps NaN (second operand wins on unordered), matching
     // the scalar std::max(x, 0.0) writeback.
     v = _mm256_max_pd(zero, v);
-    double* p = data + i * elem_stride;
+    double* p = data + i * elem_stride + 4 * g * lane_stride;
     if (contiguous) {
       _mm256_storeu_pd(p, v);
       return;
@@ -472,31 +519,124 @@ void tridiag_lines4(const double* c, const double* denom, const double* sub,
   };
 
   // Forward substitution: d[i] = (rhs[i] - sub[i] * d[i-1]) / denom[i].
-  // The elimination coefficients are shared scalars (prefactored bands); the
-  // four lanes only carry their own d chains. True divisions, not
+  // The elimination coefficients are shared scalars (prefactored bands);
+  // each lane only carries its own d chain, and the groups' chains are
+  // independent, so their divisions overlap. True divisions, not
   // reciprocal-multiplies: each lane matches the scalar Thomas solve op for
   // op.
-  __m256d dprev = _mm256_div_pd(
-      _mm256_add_pd(load_lanes(0), _mm256_set1_pd(rhs0_add)),
-      _mm256_set1_pd(denom[0]));
-  _mm256_storeu_pd(d4, dprev);
+  __m256d dprev[kGroups];
+  for (int g = 0; g < kGroups; ++g) {
+    dprev[g] = _mm256_div_pd(
+        _mm256_add_pd(load_lanes(0, g), _mm256_set1_pd(rhs0_add)),
+        _mm256_set1_pd(denom[0]));
+    _mm256_storeu_pd(d + 4 * g, dprev[g]);
+  }
   for (std::int64_t i = 1; i < n; ++i) {
-    const __m256d rhs = load_lanes(i);
-    dprev = _mm256_div_pd(
-        _mm256_sub_pd(rhs, _mm256_mul_pd(_mm256_set1_pd(sub[i]), dprev)),
-        _mm256_set1_pd(denom[i]));
-    _mm256_storeu_pd(d4 + 4 * i, dprev);
+    const __m256d sub_i = _mm256_set1_pd(sub[i]);
+    const __m256d denom_i = _mm256_set1_pd(denom[i]);
+    for (int g = 0; g < kGroups; ++g) {
+      dprev[g] = _mm256_div_pd(
+          _mm256_sub_pd(load_lanes(i, g), _mm256_mul_pd(sub_i, dprev[g])),
+          denom_i);
+      _mm256_storeu_pd(d + kLanes * i + 4 * g, dprev[g]);
+    }
   }
 
   // Back substitution with in-place >= 0 clamp on the writeback; the
   // recurrence itself runs on the unclamped solution.
-  __m256d xnext = _mm256_loadu_pd(d4 + 4 * (n - 1));
-  store_lanes_clamped(n - 1, xnext);
-  for (std::int64_t i = n - 1; i-- > 0;) {
-    xnext = _mm256_sub_pd(_mm256_loadu_pd(d4 + 4 * i),
-                          _mm256_mul_pd(_mm256_set1_pd(c[i]), xnext));
-    store_lanes_clamped(i, xnext);
+  __m256d xnext[kGroups];
+  for (int g = 0; g < kGroups; ++g) {
+    xnext[g] = dprev[g];
+    store_lanes_clamped(n - 1, g, xnext[g]);
   }
+  for (std::int64_t i = n - 1; i-- > 0;) {
+    const __m256d c_i = _mm256_set1_pd(c[i]);
+    for (int g = 0; g < kGroups; ++g) {
+      xnext[g] = _mm256_sub_pd(_mm256_loadu_pd(d + kLanes * i + 4 * g),
+                               _mm256_mul_pd(c_i, xnext[g]));
+      store_lanes_clamped(i, g, xnext[g]);
+    }
+  }
+}
+
+template void tridiag_lines<1>(const double*, const double*, const double*,
+                               std::int64_t, double*, std::int64_t,
+                               std::int64_t, double, double*);
+template void tridiag_lines<2>(const double*, const double*, const double*,
+                               std::int64_t, double*, std::int64_t,
+                               std::int64_t, double, double*);
+
+// ------------------------------ PEB reaction -------------------------------
+// The scalar loop's IEEE ops in the same order, four voxels per vector: the
+// small-|u| branch becomes a blend of the two numerators and denominators
+// ahead of one division, std::max(x, 0.0) becomes max_pd(0, x) (same result
+// for NaN and -0.0), and std::exp becomes exp4d. The last 1-3 voxels run the
+// same vector code under a lane mask, so a voxel's result does not depend on
+// where the chunk boundaries fall.
+
+bool peb_reaction(const PebReaction& r, std::int64_t i0, std::int64_t i1) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d neg_kc = _mm256_set1_pd(-r.kc);
+  const __m256d kr = _mm256_set1_pd(r.kr);
+  const __m256d neg_kr = _mm256_set1_pd(-r.kr);
+  const __m256d dt = _mm256_set1_pd(r.dt);
+  const __m256d small_u = _mm256_set1_pd(1e-12);
+  const __m256d limit = _mm256_set1_pd(r.limit);
+  const __m256d abs_mask =
+      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
+  __m256d bad = zero;  // all-ones lanes where a written value failed
+
+  for (std::int64_t i = i0; i < i1; i += 4) {
+    const std::int64_t valid = i1 - i;
+    const bool full = valid >= 4;
+    const __m256i lanes =
+        full ? _mm256_set1_epi64x(-1)
+             : _mm256_set_epi64x(0, valid > 2 ? -1 : 0, valid > 1 ? -1 : 0,
+                                 -1);
+    const auto load = [&](const double* p) {
+      return full ? _mm256_loadu_pd(p + i) : _mm256_maskload_pd(p + i, lanes);
+    };
+    const auto store = [&](double* p, __m256d v) {
+      if (full)
+        _mm256_storeu_pd(p + i, v);
+      else
+        _mm256_maskstore_pd(p + i, lanes, v);
+    };
+
+    const __m256d a0 = load(r.acid_in);
+    const __m256d b0 = load(r.base_in);
+    const __m256d inh1 = _mm256_mul_pd(
+        load(r.inhibitor_in),
+        exp4d(_mm256_mul_pd(_mm256_mul_pd(neg_kc, a0), dt)));
+    const __m256d u = _mm256_sub_pd(a0, b0);
+    const __m256d decay =
+        exp4d(_mm256_mul_pd(_mm256_mul_pd(neg_kr, u), dt));
+    const __m256d near_zero =
+        _mm256_cmp_pd(_mm256_and_pd(u, abs_mask), small_u, _CMP_LT_OQ);
+    const __m256d num = _mm256_blendv_pd(_mm256_mul_pd(u, a0), a0, near_zero);
+    const __m256d den = _mm256_blendv_pd(
+        _mm256_sub_pd(a0, _mm256_mul_pd(b0, decay)),
+        _mm256_add_pd(one, _mm256_mul_pd(_mm256_mul_pd(kr, a0), dt)),
+        near_zero);
+    const __m256d a1 = _mm256_max_pd(zero, _mm256_div_pd(num, den));
+    const __m256d b1 = _mm256_max_pd(zero, _mm256_sub_pd(a1, u));
+    store(r.inhibitor_out, inh1);
+    store(r.acid_out, a1);
+    store(r.base_out, b1);
+    if (r.check) {
+      // NLE_UQ is !(|v| <= limit): true on NaN, like the scalar compare.
+      __m256d fail = _mm256_or_pd(
+          _mm256_cmp_pd(_mm256_and_pd(a1, abs_mask), limit, _CMP_NLE_UQ),
+          _mm256_cmp_pd(_mm256_and_pd(b1, abs_mask), limit, _CMP_NLE_UQ));
+      fail = _mm256_or_pd(
+          fail,
+          _mm256_cmp_pd(_mm256_and_pd(inh1, abs_mask), limit, _CMP_NLE_UQ));
+      bad = _mm256_or_pd(bad,
+                         _mm256_and_pd(fail, _mm256_castsi256_pd(lanes)));
+    }
+  }
+  return _mm256_movemask_pd(bad) == 0;
 }
 
 // ----------------------------- selective scan ------------------------------

@@ -4,6 +4,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/arena.hpp"
@@ -11,6 +12,7 @@
 #include "common/fault.hpp"
 #include "common/obs.hpp"
 #include "common/parallel.hpp"
+#include "common/simd.hpp"
 
 namespace sdmpeb::peb {
 
@@ -22,18 +24,16 @@ namespace {
 constexpr double kDivergenceThreshold = 1e6;
 constexpr std::int64_t kDivergenceMaxHalvings = 4;
 
-/// True when all three fields are finite and within the runaway threshold.
-bool state_ok(const PebState& state) {
-  const auto field_ok = [](const Grid3& field) {
-    for (const double v : field.data()) {
-      // A single compare catches NaN (comparisons with NaN are false) and
-      // +/-Inf alongside genuine runaway magnitudes.
-      if (!(std::abs(v) <= kDivergenceThreshold)) return false;
-    }
-    return true;
-  };
-  return field_ok(state.acid) && field_ok(state.base) &&
-         field_ok(state.inhibitor);
+/// Voxels per reaction chunk (DESIGN.md §7). Fixed, so chunk boundaries and
+/// the AND of per-chunk verdicts never depend on the pool width, and small
+/// enough that the smallest clip, 16x32x32, still splits into 16 chunks:
+/// several per worker on a 4-wide pool.
+constexpr std::int64_t kReactionGrain = 1024;
+
+/// Give `grid` the shape of `like` (contents unspecified) unless it has it.
+void match_shape(Grid3& grid, const Grid3& like) {
+  if (!grid.same_shape(like))
+    grid = Grid3(like.depth(), like.height(), like.width());
 }
 
 }  // namespace
@@ -55,53 +55,34 @@ PebState PebSolver::initial_state(const Grid3& acid0) const {
   return state;
 }
 
-void PebSolver::reaction_half_step(PebState& state, double dt) const {
+bool PebSolver::reaction_half_step(const PebState& from, PebState& to,
+                                   double dt, bool check) const {
   // ~12 flops/voxel (two exp ~ amortised as 4 each plus the rational
   // update); coarse but stable, so gflops attribution stays comparable
   // across runs.
-  SDMPEB_SPAN("peb.reaction", "flops",
-              12 * static_cast<std::int64_t>(state.acid.data().size()));
-  const double kr = params_.reaction_coeff;
-  const double kc = params_.catalysis_coeff;
-  auto acid = state.acid.data();
-  auto base = state.base.data();
-  auto inhibitor = state.inhibitor.data();
+  const auto voxels = static_cast<std::int64_t>(from.acid.data().size());
+  SDMPEB_SPAN("peb.reaction", "flops", 12 * voxels);
+  simd::PebReaction r;
+  r.acid_in = from.acid.data().data();
+  r.base_in = from.base.data().data();
+  r.inhibitor_in = from.inhibitor.data().data();
+  r.acid_out = to.acid.data().data();
+  r.base_out = to.base.data().data();
+  r.inhibitor_out = to.inhibitor.data().data();
+  r.kr = params_.reaction_coeff;
+  r.kc = params_.catalysis_coeff;
+  r.dt = dt;
+  r.check = check;
+  r.limit = kDivergenceThreshold;
 
-  // Pointwise chemistry: every voxel is independent.
-  parallel::parallel_for(
-      0, static_cast<std::int64_t>(acid.size()), 16384,
+  // Pointwise chemistry: every voxel is independent, and the verdict is an
+  // AND over chunks, so neither depends on which thread ran which chunk.
+  return parallel::reduce(
+      std::int64_t{0}, voxels, kReactionGrain, 1,
       [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t idx = i0; idx < i1; ++idx) {
-          const auto i = static_cast<std::size_t>(idx);
-          const double a0 = acid[i];
-          const double b0 = base[i];
-
-          // Catalytic deprotection, Eq. (1): for frozen [A] over the
-          // sub-step the exact solution is I(t) = I0 * exp(-kc * A * t).
-          // Using the average of the pre/post-neutralisation acid would be
-          // second-order; the Strang wrapper already gives second-order
-          // overall, so the frozen value is evaluated first with a0.
-          inhibitor[i] *= std::exp(-kc * a0 * dt);
-
-          // Acid–base neutralisation: dA/dt = dB/dt = -kr * A * B, so
-          // u = A - B is invariant and
-          // A(t) = u * A0 / (A0 - B0 * exp(-kr * u * t)); the symmetric
-          // limit u -> 0 gives A(t) = A0 / (1 + kr * A0 * t).
-          const double u = a0 - b0;
-          double a1;
-          if (std::abs(u) < 1e-12) {
-            a1 = a0 / (1.0 + kr * a0 * dt);
-          } else {
-            const double decay = std::exp(-kr * u * dt);
-            a1 = u * a0 / (a0 - b0 * decay);
-          }
-          // Guard against rounding pushing concentrations slightly negative.
-          a1 = std::max(a1, 0.0);
-          double b1 = std::max(a1 - u, 0.0);
-          acid[i] = a1;
-          base[i] = b1;
-        }
-      });
+        return simd::peb_reaction(r, i0, i1) ? 1 : 0;
+      },
+      [](int all_ok, int chunk_ok) { return all_ok & chunk_ok; }) != 0;
 }
 
 void PebSolver::diffuse_axis(Grid3& field, int axis, double diff_coeff,
@@ -170,8 +151,8 @@ void PebSolver::diffuse_axis(Grid3& field, int axis, double diff_coeff,
       axis == 0 ? height * width : (axis == 1 ? width : 1);
   // Base offset between adjacent lines, valid within one "run" (axis 1 line
   // bases jump at every width boundary; axes 0 and 2 are uniform
-  // throughout). Lines inside a run batch into up-to-4-lane groups for the
-  // vectorized solver.
+  // throughout). Lines inside a run batch into groups of up to
+  // kAdiMaxLanes for the vectorized solver.
   const std::int64_t lane_stride = axis == 2 ? width : 1;
   const auto run_end = [&](std::int64_t line) -> std::int64_t {
     return axis == 1 ? (line / width + 1) * width : lines;
@@ -196,13 +177,14 @@ void PebSolver::diffuse_axis(Grid3& field, int axis, double diff_coeff,
         auto& arena = WorkspaceArena::tls();
         WorkspaceArena::Scope scope(arena);
         const auto count64 = static_cast<std::int64_t>(n);
-        std::span<double> d_scratch(arena.doubles(4 * count64),
-                                    static_cast<std::size_t>(4 * count64));
+        std::span<double> d_scratch(
+            arena.doubles(kAdiMaxLanes * count64),
+            static_cast<std::size_t>(kAdiMaxLanes * count64));
         std::int64_t line = l0;
         while (line < l1) {
           const auto limit = std::min(l1, run_end(line));
-          const int lanes =
-              static_cast<int>(std::min<std::int64_t>(4, limit - line));
+          const int lanes = static_cast<int>(
+              std::min<std::int64_t>(kAdiMaxLanes, limit - line));
           adi_solve_lines(factors, count64, data.data() + line_base(line),
                           stride, lane_stride, lanes, rhs0_add, d_scratch);
           line += lanes;
@@ -223,59 +205,65 @@ void PebSolver::diffusion_step(PebState& state, double dt) const {
   diffuse_axis(state.base, 2, params_.base_diff_xy(), dt, 0.0, 0.0);
 }
 
-void PebSolver::advance(PebState& state, double dt) const {
-  reaction_half_step(state, 0.5 * dt);
-  diffusion_step(state, dt);
-  reaction_half_step(state, 0.5 * dt);
+bool PebSolver::advance(const PebState& from, PebState& to,
+                        double dt) const {
+  reaction_half_step(from, to, 0.5 * dt, false);
+  diffusion_step(to, dt);
   if (fault::enabled() && fault::should_fire("peb.diverge")) {
     // Simulated numerical blow-up: one poisoned cell, exactly what an
-    // unstable parameter combination or a hardware fault produces.
-    auto acid = state.acid.data();
+    // unstable parameter combination or a hardware fault produces. The
+    // closing reaction pass carries the NaN into every species of the cell,
+    // where its guard sees it.
+    auto acid = to.acid.data();
     acid[fault::draw_index(acid.size())] =
         std::numeric_limits<double>::quiet_NaN();
   }
+  return reaction_half_step(to, to, 0.5 * dt, true);
 }
 
-void PebSolver::step(PebState& state) const {
+void PebSolver::step(PebState& state, PebState& scratch) const {
   SDMPEB_SPAN("peb.step");
   if (obs::trace_enabled()) {
     static obs::Counter& steps = obs::counter("peb.steps");
     steps.add(1);
   }
+  match_shape(scratch.acid, state.acid);
+  match_shape(scratch.base, state.acid);
+  match_shape(scratch.inhibitor, state.acid);
   const double dt = params_.dt_s;
-  const PebState snapshot = state;
-  advance(state, dt);
-  if (state_ok(state)) {
+  const auto commit = [&] {
+    std::swap(state.acid, scratch.acid);
+    std::swap(state.base, scratch.base);
+    std::swap(state.inhibitor, scratch.inhibitor);
     state.time_s += dt;
+  };
+  if (advance(state, scratch, dt)) {
+    commit();
     return;
   }
 
-  // The interval diverged: rewind and re-integrate it with halved dt,
-  // doubling the substep count until the guard passes or the budget runs
-  // out. Strang splitting is stable at any dt here, so in practice this
-  // only triggers on injected faults or pathological parameter sets — but
-  // when it does, retrying beats silently propagating NaNs into every
-  // downstream consumer.
+  // The interval diverged: re-integrate it from the untouched pre-step
+  // state with halved dt, doubling the substep count until the guard passes
+  // or the budget runs out. Strang splitting is stable at any dt here, so
+  // in practice this only triggers on injected faults or pathological
+  // parameter sets — but when it does, retrying beats silently propagating
+  // NaNs into every downstream consumer.
   for (std::int64_t halving = 1; halving <= kDivergenceMaxHalvings;
        ++halving) {
     obs::counter("peb.divergence_retries").add(1);
-    state = snapshot;
     const auto substeps = std::int64_t{1} << halving;
     const double dt_sub = dt / static_cast<double>(substeps);
-    bool ok = true;
-    for (std::int64_t i = 0; i < substeps && ok; ++i) {
-      advance(state, dt_sub);
-      ok = state_ok(state);
-    }
+    bool ok = advance(state, scratch, dt_sub);
+    for (std::int64_t i = 1; i < substeps && ok; ++i)
+      ok = advance(scratch, scratch, dt_sub);
     if (ok) {
       SDMPEB_LOG(obs::LogLevel::kWarn)
           << "PEB interval at t=" << state.time_s << "s diverged; recovered "
           << "with dt/" << substeps;
-      state.time_s += dt;
+      commit();
       return;
     }
   }
-  state = snapshot;
   throw Error(
       "PEB solver diverged (non-finite or runaway field) at t=" +
       std::to_string(state.time_s) + "s and did not recover after " +
@@ -284,11 +272,17 @@ void PebSolver::step(PebState& state) const {
       "coefficients) for an unstable combination");
 }
 
+void PebSolver::step(PebState& state) const {
+  PebState scratch;
+  step(state, scratch);
+}
+
 PebState PebSolver::run(const Grid3& acid0) const {
   PebState state = initial_state(acid0);
+  PebState scratch;
   const auto steps = static_cast<std::int64_t>(
       std::ceil(params_.duration_s / params_.dt_s - 1e-9));
-  for (std::int64_t i = 0; i < steps; ++i) step(state);
+  for (std::int64_t i = 0; i < steps; ++i) step(state, scratch);
   return state;
 }
 

@@ -39,21 +39,34 @@ class PebSolver {
   /// inhibitor and base per Table I initial conditions.
   PebState initial_state(const Grid3& acid0) const;
 
-  /// Advance by one params().dt_s. The result is scanned for non-finite or
-  /// runaway fields; a failed interval is retried from the pre-step state
-  /// with repeatedly halved dt before an Error describing the divergence is
-  /// thrown (DESIGN.md §10). Recoveries are counted in the metrics registry
-  /// ("peb.divergence_retries").
+  /// Advance by one params().dt_s. The step integrates from `state` into
+  /// `scratch`, a second buffer set (given state's shape here when it has
+  /// another), and swaps the two on success. The last reaction pass checks
+  /// every value it writes for non-finite or runaway magnitudes; a failed
+  /// interval is re-integrated from the untouched `state` with repeatedly
+  /// halved dt, and if that fails too an Error describing the divergence is
+  /// thrown with `state` unchanged (DESIGN.md §10). Recoveries are counted
+  /// in the metrics registry ("peb.divergence_retries").
+  void step(PebState& state, PebState& scratch) const;
+
+  /// step() with a scratch set of its own (allocated per call).
   void step(PebState& state) const;
 
-  /// Run the full bake: initial_state + ceil(duration / dt) steps.
+  /// Run the full bake: initial_state + ceil(duration / dt) steps, sharing
+  /// one scratch set.
   PebState run(const Grid3& acid0) const;
 
  private:
-  /// One Strang-split advance by dt (no guard, no time_s update).
-  void advance(PebState& state, double dt) const;
+  /// One Strang-split advance by dt from `from` into `to` (`to` may be
+  /// `from`); returns the divergence verdict of the closing reaction pass.
+  /// time_s is not touched.
+  bool advance(const PebState& from, PebState& to, double dt) const;
 
-  void reaction_half_step(PebState& state, double dt) const;
+  /// One pointwise reaction pass over every voxel, `from` into `to` (the
+  /// same set or a disjoint one). With `check`, returns false when a value
+  /// it wrote is non-finite or beyond the divergence threshold.
+  bool reaction_half_step(const PebState& from, PebState& to, double dt,
+                          bool check) const;
 
   /// Backward-Euler diffusion along one axis for one species.
   ///   axis: 0 = z (depth), 1 = y (height), 2 = x (width)

@@ -36,27 +36,29 @@ void adi_solve_lines(const TridiagFactors& factors, std::int64_t n,
                      double* data, std::int64_t elem_stride,
                      std::int64_t lane_stride, int lanes, double rhs0_add,
                      std::span<double> d_scratch) {
-  SDMPEB_CHECK(n >= 1 && lanes >= 1 && lanes <= 4);
+  SDMPEB_CHECK(n >= 1 && lanes >= 1 && lanes <= kAdiMaxLanes);
   SDMPEB_CHECK(static_cast<std::int64_t>(factors.denom.size()) == n);
-  SDMPEB_CHECK(static_cast<std::int64_t>(d_scratch.size()) >= 4 * n);
+  SDMPEB_CHECK(static_cast<std::int64_t>(d_scratch.size()) >= lanes * n);
   const double* c = factors.c.data();
   const double* denom = factors.denom.data();
   const double* sub = factors.sub.data();
 
-  if (lanes == 4) {
-    if (const auto fn = simd::tridiag_lines4()) {
-      fn(c, denom, sub, n, data, elem_stride, lane_stride, rhs0_add,
-         d_scratch.data());
-      return;
-    }
+  // Vector groups first: eight lanes at once while they last, then four.
+  int lane = 0;
+  for (const int group : {8, 4}) {
+    const auto fn = simd::tridiag_lines(group);
+    if (!fn) break;
+    for (; lanes - lane >= group; lane += group)
+      fn(c, denom, sub, n, data + lane * lane_stride, elem_stride,
+         lane_stride, rhs0_add, d_scratch.data());
   }
 
   // Scalar path, one lane at a time: the Thomas substitution against the
   // prefactored coefficients, reading the rhs from the strided grid and
   // writing the clamped solution back in place.
-  for (int lane = 0; lane < lanes; ++lane) {
+  for (; lane < lanes; ++lane) {
     double* base = data + lane * lane_stride;
-    double* d = d_scratch.data() + static_cast<std::int64_t>(lane) * n;
+    double* d = d_scratch.data();
     d[0] = (base[0] + rhs0_add) / denom[0];
     for (std::int64_t i = 1; i < n; ++i)
       d[i] = (base[i * elem_stride] - sub[i] * d[i - 1]) / denom[i];

@@ -16,7 +16,7 @@ namespace sdmpeb::peb {
 /// denom[i] = diag[i] - sub[i] * c[i-1] depend only on the bands: factor()
 /// computes them once per sweep (validating every pivot), and the per-line
 /// work shrinks to the rhs forward/back substitution in adi_solve_lines —
-/// which is also what lets the AVX2 backend run four lines per vector lane.
+/// which is also what lets the AVX2 backend run four lines per vector.
 struct TridiagFactors {
   std::vector<double> c;      ///< upper-band elimination coefficients
   std::vector<double> denom;  ///< forward-substitution pivots (denom[0] = diag[0])
@@ -27,15 +27,19 @@ struct TridiagFactors {
               std::span<const double> sup_band);
 };
 
-/// Solve `lanes` (1..4) independent ADI lines that share one prefactored
-/// band set, in place on the grid: lane l's element i lives at
+/// Most lines adi_solve_lines takes in one call (two AVX2 groups of four).
+inline constexpr int kAdiMaxLanes = 8;
+
+/// Solve `lanes` (1..kAdiMaxLanes) independent ADI lines that share one
+/// prefactored band set, in place on the grid: lane l's element i lives at
 /// data[i * elem_stride + l * lane_stride]. rhs0_add is added to element 0
 /// of every lane (the Robin surface source); solutions are clamped at >= 0
 /// (concentrations; NaN propagates for the divergence guard) on writeback.
-/// d_scratch holds 4 * n doubles. Dispatches to the 4-lane AVX2 kernel when
-/// that backend is active and lanes == 4; the scalar path solves one lane
-/// at a time. Deterministic: the per-element op order is fixed per backend
-/// regardless of lanes grouping.
+/// d_scratch holds lanes * n doubles. Under the AVX2 backend eight
+/// lanes run as two interleaved vector groups and four as one; the scalar
+/// path solves any remaining lane one at a time. Every lane performs the
+/// same IEEE op sequence on every path, so the result is bitwise identical
+/// across backends and lane groupings.
 void adi_solve_lines(const TridiagFactors& factors, std::int64_t n,
                      double* data, std::int64_t elem_stride,
                      std::int64_t lane_stride, int lanes, double rhs0_add,

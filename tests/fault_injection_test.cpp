@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -157,18 +158,29 @@ TEST_F(FaultInjectionTest, PebSolveRecoversOrThrowsDescriptively) {
 }
 
 TEST_F(FaultInjectionTest, PebDivergenceGuardGivesUpUnderPersistentFault) {
-  fault::configure("peb.diverge:1", 11);
   peb::PebParams params;
   params.duration_s = 0.5;
   params.dt_s = 0.5;
   peb::PebSolver solver(params);
   Grid3 acid0(4, 8, 8, 0.5);
   auto state = solver.initial_state(acid0);
+  solver.step(state);  // unpoisoned: a pre-step state away from t = 0
+  const peb::PebState before = state;
+  fault::configure("peb.diverge:1", 11);
   // With p = 1 every advance() is poisoned, so even retries fail: the
   // solver must give up with the descriptive error, not loop forever.
   EXPECT_THROW(solver.step(state), Error);
-  // The pre-step state is restored on give-up.
-  for (const double v : state.acid.data()) ASSERT_TRUE(std::isfinite(v));
+  EXPECT_GT(fault::fired_count("peb.diverge"), 0u);
+  // The give-up leaves the pre-step state exactly as it was.
+  EXPECT_EQ(state.time_s, before.time_s);
+  const auto unchanged = [](const Grid3& now, const Grid3& was) {
+    return now.same_shape(was) &&
+           std::memcmp(now.data().data(), was.data().data(),
+                       was.data().size() * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(unchanged(state.acid, before.acid));
+  EXPECT_TRUE(unchanged(state.base, before.base));
+  EXPECT_TRUE(unchanged(state.inhibitor, before.inhibitor));
 }
 
 TEST_F(FaultInjectionTest, AtomicWriteFaultsNeverLeaveHalfFiles) {

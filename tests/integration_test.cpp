@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
 #include "baselines/tempo_resist.hpp"
 #include "core/sdm_peb_model.hpp"
@@ -76,7 +77,11 @@ TEST(Integration, SurrogateIsMuchFasterThanRigorousSolver) {
   // host: the vectorized ADI sweeps (DESIGN.md §11) sped up the rigorous
   // baseline, which legitimately shrinks this miniature-grid ratio; the
   // full-scale factor is measured by bench_table2.
-  EXPECT_GT(dataset.mean_rigorous_seconds() / result.runtime_seconds, 3.0);
+  const double ratio =
+      dataset.mean_rigorous_seconds() / result.runtime_seconds;
+  // Logged so a slow or noisy host's margin shows in passing runs too.
+  std::printf("rigorous/surrogate runtime ratio %.2f\n", ratio);
+  EXPECT_GT(ratio, 3.0);
 }
 
 TEST(Integration, TrainAndEvaluateIsDeterministic) {

@@ -1,6 +1,7 @@
 #include "oracle.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace sdmpeb::oracle {
 
@@ -117,6 +118,28 @@ Tensor conv3d(const Tensor& x, const Tensor& w, const Tensor& bias,
                      {{x.dim(1), w.dim(2), stride, pad},
                       {x.dim(2), w.dim(3), stride, pad},
                       {x.dim(3), w.dim(4), stride, pad}});
+}
+
+void peb_reaction(std::span<double> acid, std::span<double> base,
+                  std::span<double> inhibitor, double kr, double kc,
+                  double dt) {
+  for (std::size_t i = 0; i < acid.size(); ++i) {
+    const double a0 = acid[i];
+    const double b0 = base[i];
+    inhibitor[i] *= std::exp(-kc * a0 * dt);
+    const double u = a0 - b0;
+    double a1;
+    if (std::abs(u) < 1e-12) {
+      a1 = a0 / (1.0 + kr * a0 * dt);
+    } else {
+      const double decay = std::exp(-kr * u * dt);
+      a1 = u * a0 / (a0 - b0 * decay);
+    }
+    a1 = std::max(a1, 0.0);
+    double b1 = std::max(a1 - u, 0.0);
+    acid[i] = a1;
+    base[i] = b1;
+  }
 }
 
 }  // namespace sdmpeb::oracle

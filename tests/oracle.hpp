@@ -1,12 +1,14 @@
 #pragma once
 
 // Test-only reference implementations the production kernels are checked
-// against: the plain three-loop GEMM behind common/gemm.hpp and one
+// against: the plain three-loop GEMM behind common/gemm.hpp, one
 // direct-loop convolution behind the im2col-lowered dense convs in
-// nn/ops_conv.cpp. They are slow on purpose — every output element is one
+// nn/ops_conv.cpp, and the serial in-place PEB reaction loop behind
+// simd::peb_reaction. They are slow on purpose — every output element is one
 // visible accumulation chain — and live with the tests, not the library.
 
 #include <cstdint>
+#include <span>
 
 #include "tensor/tensor.hpp"
 
@@ -33,5 +35,12 @@ Tensor conv_transpose2d_per_depth(const Tensor& x, const Tensor& w,
 /// w is (Cout, Cin, kd, kh, kw); stride and pad apply to all three axes.
 Tensor conv3d(const Tensor& x, const Tensor& w, const Tensor& bias,
               std::int64_t stride, std::int64_t pad);
+
+/// One PEB reaction sub-step of length dt, in place over every voxel: the
+/// serial loop PebSolver ran before the reaction became a dispatched kernel,
+/// kept verbatim, so the scalar simd::peb_reaction must match it BITWISE.
+void peb_reaction(std::span<double> acid, std::span<double> base,
+                  std::span<double> inhibitor, double kr, double kc,
+                  double dt);
 
 }  // namespace sdmpeb::oracle

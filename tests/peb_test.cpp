@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "peb/peb_solver.hpp"
 #include "peb/tridiag.hpp"
 
@@ -273,6 +275,37 @@ TEST(PebSolver, StepAdvancesTime) {
   EXPECT_DOUBLE_EQ(state.time_s, 0.1);
   solver.step(state);
   EXPECT_DOUBLE_EQ(state.time_s, 0.2);
+}
+
+TEST(PebSolver, RunMatchesRepeatedStepsBitwise) {
+  // run() shares one scratch set across its steps; a caller stepping with a
+  // fresh set each time must get the same bytes, on every backend.
+  PebParams params;
+  params.duration_s = 1.0;
+  const PebSolver solver(params);
+  Grid3 acid0(5, 9, 11);
+  Rng rng(41);
+  for (auto& v : acid0.data()) v = rng.uniform(0.0, 0.9);
+  const simd::Isa restore = simd::active();
+  std::vector<simd::Isa> backends = {simd::Isa::kScalar};
+  if (simd::cpu_has_avx2()) backends.push_back(simd::Isa::kAvx2);
+  for (const simd::Isa isa : backends) {
+    simd::set_active(isa);
+    const PebState ran = solver.run(acid0);
+    PebState stepped = solver.initial_state(acid0);
+    for (int i = 0; i < 10; ++i) solver.step(stepped);
+    EXPECT_EQ(ran.time_s, stepped.time_s);
+    const auto same = [](const Grid3& a, const Grid3& b) {
+      return a.same_shape(b) &&
+             std::memcmp(a.data().data(), b.data().data(),
+                         a.data().size() * sizeof(double)) == 0;
+    };
+    EXPECT_TRUE(same(ran.acid, stepped.acid)) << simd::isa_name(isa);
+    EXPECT_TRUE(same(ran.base, stepped.base)) << simd::isa_name(isa);
+    EXPECT_TRUE(same(ran.inhibitor, stepped.inhibitor))
+        << simd::isa_name(isa);
+  }
+  simd::set_active(restore);
 }
 
 class StrangConvergenceTest : public ::testing::TestWithParam<double> {};

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,7 @@ class SimdTest : public ::testing::Test {
 /// always; AVX2 when the CPU supports it). The backend is active while the
 /// body runs.
 void for_each_backend(const std::function<void(simd::Isa)>& body) {
+  simd::set_active(simd::Isa::kScalar);
   body(simd::Isa::kScalar);
   if (simd::cpu_has_avx2()) {
     simd::set_active(simd::Isa::kAvx2);
@@ -73,7 +75,9 @@ TEST_F(SimdTest, DetectionNamesAndOverride) {
   if (simd::cpu_has_avx2()) {
     EXPECT_EQ(simd::active(), simd::Isa::kAvx2);
     EXPECT_NE(simd::gemm_tile_16(), nullptr);
-    EXPECT_NE(simd::tridiag_lines4(), nullptr);
+    EXPECT_NE(simd::tridiag_lines(4), nullptr);
+    EXPECT_NE(simd::tridiag_lines(8), nullptr);
+    EXPECT_EQ(simd::tridiag_lines(5), nullptr);
   } else {
     EXPECT_EQ(simd::active(), simd::Isa::kScalar);
   }
@@ -82,7 +86,8 @@ TEST_F(SimdTest, DetectionNamesAndOverride) {
   // Under the scalar backend the vector-only entry points vanish, which is
   // how callers fall back to their scalar paths.
   EXPECT_EQ(simd::gemm_tile_16(), nullptr);
-  EXPECT_EQ(simd::tridiag_lines4(), nullptr);
+  EXPECT_EQ(simd::tridiag_lines(4), nullptr);
+  EXPECT_EQ(simd::tridiag_lines(8), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -437,14 +442,17 @@ TEST_F(SimdTest, ScanFusedDeltaMatchesUnfusedGraph) {
 }
 
 // ---------------------------------------------------------------------------
-// ADI tridiagonal line batches: the 4-lane kernel must reproduce the scalar
-// per-lane substitution in both line geometries (contiguous lanes, as in the
-// z/y sweeps, and strided lanes as in the x sweep), and a full PEB bake must
-// stay bitwise thread-count deterministic per backend.
+// ADI tridiagonal line batches: the 8-lane (two interleaved groups) and
+// 4-lane kernels must reproduce the scalar per-lane substitution BITWISE
+// for any lane count 1..8 (full groups, a group plus scalar lanes, scalar
+// lanes alone) in both line geometries: contiguous lanes, as in the z/y
+// sweeps, and strided lanes as in the x sweep. A full PEB bake must stay
+// bitwise thread-count deterministic per backend.
 // ---------------------------------------------------------------------------
 
 void run_adi_lanes(std::int64_t n, std::int64_t elem_stride,
-                   std::int64_t lane_stride, std::vector<double>& data) {
+                   std::int64_t lane_stride, int lanes,
+                   std::vector<double>& data) {
   std::vector<double> sub(n), diag(n), sup(n);
   Rng rng(61);
   for (std::int64_t i = 0; i < n; ++i) {
@@ -454,9 +462,9 @@ void run_adi_lanes(std::int64_t n, std::int64_t elem_stride,
   }
   peb::TridiagFactors factors;
   factors.factor(sub, diag, sup);
-  std::vector<double> d_scratch(static_cast<std::size_t>(4 * n));
-  peb::adi_solve_lines(factors, n, data.data(), elem_stride, lane_stride, 4,
-                       0.25, d_scratch);
+  std::vector<double> d_scratch(static_cast<std::size_t>(lanes * n));
+  peb::adi_solve_lines(factors, n, data.data(), elem_stride, lane_stride,
+                       lanes, 0.25, d_scratch);
 }
 
 TEST_F(SimdTest, AdiLines4MatchesScalarInBothGeometries) {
@@ -465,24 +473,241 @@ TEST_F(SimdTest, AdiLines4MatchesScalarInBothGeometries) {
   struct Geometry {
     std::int64_t elem_stride, lane_stride;
   };
-  // elem_stride 4 / lane_stride 1: z- and y-sweep layout (lanes contiguous).
-  // elem_stride 1 / lane_stride n: x-sweep layout (lanes strided).
-  for (const Geometry geo : {Geometry{4, 1}, Geometry{1, n}}) {
-    std::vector<double> grid(static_cast<std::size_t>(4 * n));
-    Rng rng(62);
-    for (auto& v : grid) v = rng.uniform(-0.2, 1.0);
-    auto scalar_grid = grid;
-    auto vector_grid = grid;
-    simd::set_active(simd::Isa::kScalar);
-    run_adi_lanes(n, geo.elem_stride, geo.lane_stride, scalar_grid);
-    simd::set_active(simd::Isa::kAvx2);
-    run_adi_lanes(n, geo.elem_stride, geo.lane_stride, vector_grid);
-    for (std::size_t i = 0; i < grid.size(); ++i)
-      ASSERT_NEAR(scalar_grid[i], vector_grid[i], 1e-12)
-          << "elem_stride=" << geo.elem_stride << " i=" << i;
-    // The clamp is part of the contract: no negative concentrations.
-    for (double v : vector_grid) ASSERT_GE(v, 0.0);
+  for (int lanes = 1; lanes <= peb::kAdiMaxLanes; ++lanes) {
+    // elem_stride = lanes, lane_stride 1: z- and y-sweep layout (lanes
+    // contiguous). elem_stride 1, lane_stride n: x-sweep layout (lanes
+    // strided).
+    for (const Geometry geo : {Geometry{lanes, 1}, Geometry{1, n}}) {
+      std::vector<double> grid(static_cast<std::size_t>(lanes * n));
+      Rng rng(62);
+      for (auto& v : grid) v = rng.uniform(-0.2, 1.0);
+      auto scalar_grid = grid;
+      auto vector_grid = grid;
+      simd::set_active(simd::Isa::kScalar);
+      run_adi_lanes(n, geo.elem_stride, geo.lane_stride, lanes, scalar_grid);
+      simd::set_active(simd::Isa::kAvx2);
+      run_adi_lanes(n, geo.elem_stride, geo.lane_stride, lanes, vector_grid);
+      EXPECT_EQ(std::memcmp(scalar_grid.data(), vector_grid.data(),
+                            grid.size() * sizeof(double)),
+                0)
+          << lanes << " lanes, elem_stride " << geo.elem_stride;
+      // The clamp is part of the contract: no negative concentrations.
+      for (double v : vector_grid) ASSERT_GE(v, 0.0);
+    }
   }
+}
+
+// ---------------------------------------------------------------------------
+// PEB reaction pass. The scalar kernel is the pre-kernel solver loop
+// (oracle::peb_reaction) bit for bit; AVX2 differs from it only through
+// exp4d. Inputs cover the |u| < 1e-12 branch (u = 0 and |u| = 5e-13), the
+// first u outside it, b0 = 0, a0 = 0 and every vector/tail split.
+// ---------------------------------------------------------------------------
+
+constexpr double kTableIHalfStep = 0.05;
+
+/// AVX2 against scalar, relative to max(1, |scalar|): the bound each of
+/// the three outputs must meet. exp4d is within 1 ulp of std::exp, and the
+/// neutralisation's a0 - b0 * decay can amplify that ulp where |u| is small
+/// but outside the 1e-12 branch, hence the headroom. The largest difference
+/// PebReactionAvx2WithinToleranceOfScalar measures (its "max_rel_diff"
+/// property) is 3.9e-16.
+constexpr double kReactionTol = 1e-13;
+
+struct ReactionFields {
+  std::vector<double> acid, base, inhibitor;
+};
+
+ReactionFields reaction_input(std::int64_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  ReactionFields f;
+  for (std::int64_t i = 0; i < n; ++i) {
+    double a = rng.uniform(0.0, 0.95);
+    double b = rng.uniform(0.0, 0.5);
+    switch (i % 7) {
+      case 0: b = a; break;           // u = 0
+      case 1: b = a - 5e-13; break;   // |u| < 1e-12, u > 0
+      case 2: b = 0.0; break;
+      case 3: a = 0.0; break;
+      case 4: b = a + 2e-12; break;   // just outside the branch
+      default: break;
+    }
+    f.acid.push_back(a);
+    f.base.push_back(b);
+    f.inhibitor.push_back(rng.uniform(0.0, 1.0));
+  }
+  return f;
+}
+
+/// One kernel call over [i0, i1), out of place into `out` (resized to the
+/// input) or, when out == &in, in place.
+bool react(const ReactionFields& in, ReactionFields& out, double dt,
+           std::int64_t i0, std::int64_t i1, bool check = true) {
+  if (&out != &in) {
+    out.acid.resize(in.acid.size());
+    out.base.resize(in.base.size());
+    out.inhibitor.resize(in.inhibitor.size());
+  }
+  simd::PebReaction r;
+  r.acid_in = in.acid.data();
+  r.base_in = in.base.data();
+  r.inhibitor_in = in.inhibitor.data();
+  r.acid_out = out.acid.data();
+  r.base_out = out.base.data();
+  r.inhibitor_out = out.inhibitor.data();
+  const peb::PebParams table_i;
+  r.kr = table_i.reaction_coeff;
+  r.kc = table_i.catalysis_coeff;
+  r.dt = dt;
+  r.check = check;
+  r.limit = 1e6;
+  return simd::peb_reaction(r, i0, i1);
+}
+
+bool react_all(const ReactionFields& in, ReactionFields& out, double dt,
+               bool check = true) {
+  return react(in, out, dt, 0, static_cast<std::int64_t>(in.acid.size()),
+               check);
+}
+
+void expect_fields_bitwise(const ReactionFields& a, const ReactionFields& b,
+                           const std::string& what) {
+  const auto same = [](const std::vector<double>& x,
+                       const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(same(a.acid, b.acid)) << what << " acid";
+  EXPECT_TRUE(same(a.base, b.base)) << what << " base";
+  EXPECT_TRUE(same(a.inhibitor, b.inhibitor)) << what << " inhibitor";
+}
+
+/// `f` with one value of one species (0 acid, 1 base, 2 inhibitor) set.
+ReactionFields poisoned(ReactionFields f, int field, std::int64_t at,
+                        double value) {
+  auto& target = field == 0 ? f.acid : (field == 1 ? f.base : f.inhibitor);
+  target[static_cast<std::size_t>(at)] = value;
+  return f;
+}
+
+const std::int64_t kReactionLengths[] = {1,  2,  3,  4,    5,    6,
+                                         7,  8,  13, 64, 1027, 16384};
+
+TEST_F(SimdTest, PebReactionScalarMatchesPreKernelLoopBitwise) {
+  simd::set_active(simd::Isa::kScalar);
+  const peb::PebParams table_i;
+  for (const double dt : {kTableIHalfStep, kTableIHalfStep / 16.0})
+    for (const std::int64_t n : kReactionLengths) {
+      const auto in = reaction_input(n, 90 + static_cast<std::uint64_t>(n));
+      ReactionFields want = in;
+      oracle::peb_reaction(want.acid, want.base, want.inhibitor,
+                           table_i.reaction_coeff, table_i.catalysis_coeff,
+                           dt);
+      const std::string what =
+          "n=" + std::to_string(n) + " dt=" + std::to_string(dt);
+      ReactionFields out;
+      EXPECT_TRUE(react_all(in, out, dt));
+      expect_fields_bitwise(out, want, what + " out of place");
+      ReactionFields inplace = in;
+      EXPECT_TRUE(react_all(inplace, inplace, dt));
+      expect_fields_bitwise(inplace, want, what + " in place");
+    }
+}
+
+TEST_F(SimdTest, PebReactionAvx2WithinToleranceOfScalar) {
+  if (!simd::cpu_has_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  double worst = 0.0;
+  for (const double dt : {kTableIHalfStep, kTableIHalfStep / 16.0, 1.0})
+    for (const std::int64_t n : kReactionLengths) {
+      const auto in = reaction_input(n, 190 + static_cast<std::uint64_t>(n));
+      ReactionFields scalar, vec;
+      simd::set_active(simd::Isa::kScalar);
+      react_all(in, scalar, dt);
+      simd::set_active(simd::Isa::kAvx2);
+      react_all(in, vec, dt);
+      const auto compare = [&](const std::vector<double>& s,
+                               const std::vector<double>& v,
+                               const char* what) {
+        for (std::size_t i = 0; i < s.size(); ++i) {
+          const double rel =
+              std::abs(v[i] - s[i]) / std::max(1.0, std::abs(s[i]));
+          worst = std::max(worst, rel);
+          ASSERT_LE(rel, kReactionTol)
+              << what << " n=" << n << " dt=" << dt << " i=" << i;
+        }
+      };
+      compare(scalar.acid, vec.acid, "acid");
+      compare(scalar.base, vec.base, "base");
+      compare(scalar.inhibitor, vec.inhibitor, "inhibitor");
+
+      // In place writes what out of place writes, and a voxel's result does
+      // not depend on where a call's range ends (the masked tail runs the
+      // vector body's ops).
+      ReactionFields inplace = in;
+      react_all(inplace, inplace, dt);
+      expect_fields_bitwise(inplace, vec, "avx2 in place n=" +
+                                              std::to_string(n));
+      ReactionFields split;
+      react(in, split, dt, 0, n / 2);
+      react(in, split, dt, n / 2, n);
+      expect_fields_bitwise(split, vec, "avx2 split n=" + std::to_string(n));
+    }
+  std::ostringstream measured;
+  measured << worst;
+  RecordProperty("max_rel_diff", measured.str());
+}
+
+TEST_F(SimdTest, PebReactionVerdictFlagsNonFiniteAndRunawayValues) {
+  const double poisons[] = {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(), 2e6};
+  for_each_backend([&](simd::Isa isa) {
+    // n % 4 = 0..3; index 1 sits in the vector body, n - 1 in the tail
+    // whenever n % 4 != 0.
+    for (const std::int64_t n : {8, 9, 10, 11}) {
+      const auto clean = reaction_input(n, 300 + static_cast<std::uint64_t>(n));
+      ReactionFields out;
+      EXPECT_TRUE(react_all(clean, out, kTableIHalfStep))
+          << simd::isa_name(isa) << " n=" << n;
+      for (const std::int64_t at : {std::int64_t{1}, n - 1})
+        for (const double poison : poisons)
+          for (int field = 0; field < 3; ++field) {
+            auto in = poisoned(clean, field, at, poison);
+            const std::string what = std::string(simd::isa_name(isa)) +
+                                     " n=" + std::to_string(n) +
+                                     " at=" + std::to_string(at) +
+                                     " field=" + std::to_string(field) +
+                                     " value=" + std::to_string(poison);
+            EXPECT_FALSE(react_all(in, out, kTableIHalfStep)) << what;
+            // Unchecked, the pass reports nothing.
+            EXPECT_TRUE(react_all(in, out, kTableIHalfStep, false))
+                << what << " unchecked";
+            EXPECT_FALSE(react_all(in, in, kTableIHalfStep))
+                << what << " in place";
+          }
+    }
+  });
+}
+
+TEST_F(SimdTest, PebReactionClampPropagatesNan) {
+  // std::max(NaN, 0.0) and max_pd(0, NaN) both return the NaN: a poisoned
+  // acid cell must stay poisoned in every species, never clamp to 0.
+  for_each_backend([&](simd::Isa isa) {
+    for (const std::int64_t n : {8, 11}) {
+      for (const std::int64_t at : {std::int64_t{2}, n - 1}) {
+        const auto in =
+            poisoned(reaction_input(n, 400 + static_cast<std::uint64_t>(n)),
+                     0, at, std::numeric_limits<double>::quiet_NaN());
+        ReactionFields out;
+        react_all(in, out, kTableIHalfStep);
+        const auto i = static_cast<std::size_t>(at);
+        EXPECT_TRUE(std::isnan(out.acid[i])) << simd::isa_name(isa) << at;
+        EXPECT_TRUE(std::isnan(out.base[i])) << simd::isa_name(isa) << at;
+        EXPECT_TRUE(std::isnan(out.inhibitor[i]))
+            << simd::isa_name(isa) << at;
+      }
+    }
+  });
 }
 
 peb::PebState run_small_bake() {
@@ -533,8 +758,8 @@ TEST_F(SimdTest, PebBakeBackendsAgreeWithinTolerance) {
   const auto ss = run_small_bake();
   simd::set_active(simd::Isa::kAvx2);
   const auto sv = run_small_bake();
-  // Both backends perform the identical IEEE op sequence per lane (the AVX2
-  // solver uses true divisions, not reciprocal approximations), so the
+  // The ADI sweeps are bitwise equal across backends and the reaction
+  // differs only through exp4d (within 1 ulp of std::exp), so the
   // tolerance is near machine epsilon rather than a loose bound.
   expect_grids_equal(ss.acid, sv.acid, 1e-12, "acid");
   expect_grids_equal(ss.base, sv.base, 1e-12, "base");
