@@ -1,16 +1,10 @@
 #include "common/trace_export.hpp"
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <filesystem>
-#include <fstream>
+#include <cstdio>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 #include "common/arena.hpp"
 #include "common/atomic_file.hpp"
@@ -263,201 +257,6 @@ bool write_metrics_csv_file(const std::string& path) {
     return false;
   }
   return true;
-}
-
-namespace {
-
-/// The registry as one JSON object (the "metrics" field of a JSONL row),
-/// derived metrics already refreshed by the caller.
-void write_metrics_json(std::ostream& os, const MetricsSnapshot& snap) {
-  os << "{";
-  bool first = true;
-  const auto sep = [&] {
-    if (!first) os << ",";
-    first = false;
-  };
-  for (const auto& [name, value] : snap.counters) {
-    sep();
-    os << "\"" << json_escape(name) << "\":" << value;
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    sep();
-    os << "\"" << json_escape(name) << "\":" << fmt_double(value);
-  }
-  for (const auto& h : snap.histograms) {
-    sep();
-    os << "\"" << json_escape(h.name) << "\":{\"count\":" << h.total
-       << ",\"sum\":" << fmt_double(h.sum) << ",\"buckets\":[";
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      if (i) os << ",";
-      os << "{\"le\":";
-      if (i < h.bounds.size())
-        os << fmt_double(h.bounds[i]);
-      else
-        os << "\"inf\"";
-      os << ",\"count\":" << h.counts[i] << "}";
-    }
-    os << "]}";
-  }
-  os << "}";
-}
-
-/// Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]* — dots become
-/// underscores and everything gets the sdmpeb_ namespace prefix.
-std::string prom_name(const std::string& name) {
-  std::string out = "sdmpeb_";
-  for (const char ch : name) {
-    const bool ok = (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') ||
-                    (ch >= '0' && ch <= '9') || ch == '_' || ch == ':';
-    out += ok ? ch : '_';
-  }
-  return out;
-}
-
-}  // namespace
-
-void write_metrics_prometheus(std::ostream& os) {
-  refresh_derived_metrics();
-  const auto snap = snapshot_metrics();
-  for (const auto& [name, value] : snap.counters) {
-    const auto p = prom_name(name);
-    os << "# TYPE " << p << " counter\n" << p << " " << value << "\n";
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    const auto p = prom_name(name);
-    os << "# TYPE " << p << " gauge\n" << p << " " << fmt_double(value)
-       << "\n";
-  }
-  for (const auto& h : snap.histograms) {
-    const auto p = prom_name(h.name);
-    os << "# TYPE " << p << " histogram\n";
-    // Prometheus buckets are cumulative; the registry's are per-bucket.
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      cumulative += h.counts[i];
-      os << p << "_bucket{le=\"";
-      if (i < h.bounds.size())
-        os << fmt_double(h.bounds[i]);
-      else
-        os << "+Inf";
-      os << "\"} " << cumulative << "\n";
-    }
-    os << p << "_sum " << fmt_double(h.sum) << "\n"
-       << p << "_count " << h.total << "\n";
-  }
-}
-
-bool write_metrics_prometheus_file(const std::string& path) {
-  std::ostringstream buffer;
-  write_metrics_prometheus(buffer);
-  try {
-    atomic_write_file(path, buffer.str());
-  } catch (const Error&) {
-    return false;
-  }
-  return true;
-}
-
-bool append_metrics_jsonl(const std::string& path, std::uint64_t seq) {
-  refresh_derived_metrics();
-  std::ostringstream row;
-  row << "{\"t_s\":" << fmt_double(static_cast<double>(now_ns()) * 1e-9)
-      << ",\"seq\":" << seq << ",\"metrics\":";
-  write_metrics_json(row, snapshot_metrics());
-  row << "}\n";
-  // One append + flush per row: a crash mid-run loses at most the row being
-  // written, and every complete line stays parseable.
-  std::ofstream out(path, std::ios::app | std::ios::binary);
-  if (!out.good()) return false;
-  out << row.str();
-  out.flush();
-  return out.good();
-}
-
-// ---------------------------------------------------------------------------
-// Periodic flush
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct Flusher {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::thread thread;
-  bool running = false;
-  bool stop_requested = false;
-  std::atomic<std::uint64_t> flushes{0};
-  PeriodicFlushOptions options;
-
-  void flush_once() {
-    if (options.prometheus)
-      write_metrics_prometheus_file(options.dir + "/metrics.prom");
-    if (options.jsonl)
-      append_metrics_jsonl(options.dir + "/metrics.jsonl",
-                           flushes.load(std::memory_order_relaxed));
-    flushes.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void loop() {
-    set_thread_name("metrics-flush");
-    const auto interval = std::chrono::duration<double>(
-        options.interval_s > 0.01 ? options.interval_s : 0.01);
-    std::unique_lock<std::mutex> lock(mutex);
-    while (!stop_requested) {
-      cv.wait_for(lock, interval, [this] { return stop_requested; });
-      if (stop_requested) break;
-      lock.unlock();
-      flush_once();
-      lock.lock();
-    }
-  }
-};
-
-Flusher& flusher() {
-  static Flusher* f = new Flusher();  // leaked: may outlive main teardown
-  return *f;
-}
-
-}  // namespace
-
-bool start_periodic_flush(const PeriodicFlushOptions& options) {
-  Flusher& f = flusher();
-  std::lock_guard<std::mutex> lock(f.mutex);
-  if (f.running) return false;
-  std::error_code ec;
-  std::filesystem::create_directories(options.dir, ec);
-  f.options = options;
-  f.stop_requested = false;
-  f.flushes.store(0, std::memory_order_relaxed);
-  f.thread = std::thread([&f] { f.loop(); });
-  f.running = true;
-  return true;
-}
-
-void stop_periodic_flush() {
-  Flusher& f = flusher();
-  {
-    std::lock_guard<std::mutex> lock(f.mutex);
-    if (!f.running) return;
-    f.stop_requested = true;
-  }
-  f.cv.notify_all();
-  f.thread.join();
-  // Final flush after the thread is quiescent so the files capture the
-  // end-of-run state.
-  f.flush_once();
-  std::lock_guard<std::mutex> lock(f.mutex);
-  f.running = false;
-}
-
-bool periodic_flush_running() {
-  Flusher& f = flusher();
-  std::lock_guard<std::mutex> lock(f.mutex);
-  return f.running;
-}
-
-std::uint64_t periodic_flush_count() {
-  return flusher().flushes.load(std::memory_order_relaxed);
 }
 
 }  // namespace sdmpeb::obs

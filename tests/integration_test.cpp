@@ -63,7 +63,7 @@ TEST(Integration, TrainingImprovesOverUntrainedModel) {
 TEST(Integration, SurrogateIsMuchFasterThanRigorousSolver) {
   // Use a realistic bake length (300 solver steps) so the runtime ratio is
   // meaningful even at the miniature test grid; the full-scale factor is
-  // measured by bench_table2.
+  // Table II's, measured by bench_paper.
   auto config = integration_config();
   config.peb.duration_s = 30.0;
   config.peb.dt_s = 0.1;
@@ -76,7 +76,7 @@ TEST(Integration, SurrogateIsMuchFasterThanRigorousSolver) {
   // The threshold leaves headroom under a parallel ctest run on a small
   // host: the vectorized ADI sweeps (DESIGN.md §11) sped up the rigorous
   // baseline, which legitimately shrinks this miniature-grid ratio; the
-  // full-scale factor is measured by bench_table2.
+  // full-scale factor is Table II's, measured by bench_paper.
   const double ratio =
       dataset.mean_rigorous_seconds() / result.runtime_seconds;
   // Logged so a slow or noisy host's margin shows in passing runs too.

@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -71,6 +72,7 @@ void install_signal_handlers() {
 struct CliArgs {
   std::string command;
   std::map<std::string, std::string> options;
+  std::string error;  ///< set when an option is unknown or has no value
 
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const {
     const auto it = options.find(key);
@@ -82,13 +84,28 @@ struct CliArgs {
   }
 };
 
+/// Every option key some command reads: a misspelt or retired option is an
+/// error, not a silently ignored no-op.
+const std::set<std::string>& known_options() {
+  static const std::set<std::string> keys = {
+      "accumulation", "bake-seconds", "ckpt", "ckpt-every", "clips",
+      "deadline-ms", "epochs", "max-steps", "metrics", "model", "out",
+      "perf", "queue", "resume", "scale", "seed", "shape", "state", "trace"};
+  return keys;
+}
+
 CliArgs parse_args(int argc, char** argv) {
   CliArgs args;
   if (argc >= 2) args.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0) key = key.substr(2);
-    args.options[key] = argv[i + 1];
+  for (int i = 2; i < argc && args.error.empty(); i += 2) {
+    const std::string flag = argv[i];
+    const std::string key = flag.rfind("--", 0) == 0 ? flag.substr(2) : "";
+    if (known_options().count(key) == 0)
+      args.error = "unknown option '" + flag + "'";
+    else if (i + 1 >= argc)
+      args.error = "option '" + flag + "' needs a value";
+    else
+      args.options[key] = argv[i + 1];
   }
   return args;
 }
@@ -329,8 +346,9 @@ int cmd_serve(const CliArgs& args) {
   return 0;
 }
 
-void print_usage() {
-  std::printf(
+void print_usage(std::FILE* out) {
+  std::fprintf(
+      out,
       "usage: sdmpeb_cli <simulate|train|evaluate|serve> [--key value ...]\n"
       "  common:   --clips N --seed S --bake-seconds T\n"
       "            --scale default|tiny (model scale, sdm only)\n"
@@ -338,14 +356,11 @@ void print_usage() {
       "            --metrics PATH (write metrics CSV; implies tracing)\n"
       "            --perf 1       (sample perf counters per span; implies\n"
       "                            tracing; tier via SDMPEB_PERF)\n"
-      "            --flush-every SECS (periodic metrics.prom/.jsonl "
-      "snapshots)\n"
-      "            --flush-dir DIR    (flush output dir, default "
-      "bench_out)\n"
       "            SDMPEB_TRACE=1 enables tracing with default output paths\n"
       "  simulate: --out DIR\n"
       "  train:    --model sdm|deepcnn|tempo|fno|deepeb --epochs E "
       "--out CKPT\n"
+      "            --accumulation N (micro-batches per optimizer step)\n"
       "            --ckpt-every N (train-state checkpoint every N steps)\n"
       "            --state PATH   (train-state path, default <out>.state)\n"
       "            --resume PATH  (continue from a train-state checkpoint;\n"
@@ -367,8 +382,7 @@ void print_usage() {
 /// Resolve observability outputs: --trace/--metrics force tracing on;
 /// SDMPEB_TRACE=1 alone uses default paths under bench_out/. --perf 1
 /// additionally samples hardware counters around every span (implies
-/// tracing); --flush-every SECS starts the periodic Prometheus/JSONL
-/// flusher for long runs (--flush-dir overrides its output directory).
+/// tracing).
 struct ObsConfig {
   bool enabled = false;
   std::string trace_path;
@@ -395,21 +409,10 @@ ObsConfig resolve_obs(const CliArgs& args) {
     cfg.trace_path = "bench_out/trace.json";
   if (cfg.enabled && cfg.metrics_path.empty())
     cfg.metrics_path = "bench_out/metrics.csv";
-
-  const double flush_every = std::atof(args.get("flush-every", "0").c_str());
-  if (flush_every > 0.0) {
-    obs::PeriodicFlushOptions options;
-    options.dir = args.get("flush-dir", "bench_out");
-    options.interval_s = flush_every;
-    obs::start_periodic_flush(options);
-  }
   return cfg;
 }
 
 void dump_obs(const ObsConfig& cfg) {
-  // Stop the flusher before the final dump so the last snapshot and the
-  // dump see the same registry state.
-  obs::stop_periodic_flush();
   if (!cfg.enabled) return;
   obs::refresh_derived_metrics();
   const auto parent = std::filesystem::path(cfg.trace_path).parent_path();
@@ -430,6 +433,11 @@ void dump_obs(const ObsConfig& cfg) {
 
 int main(int argc, char** argv) {
   const auto args = parse_args(argc, argv);
+  if (!args.error.empty()) {
+    std::fprintf(stderr, "error: %s\n", args.error.c_str());
+    print_usage(stderr);
+    return 2;
+  }
   const auto obs_cfg = resolve_obs(args);
   try {
     int rc = -1;
@@ -445,6 +453,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  print_usage();
+  print_usage(stdout);
   return args.command.empty() ? 1 : 2;
 }
